@@ -3,19 +3,25 @@ elimination, and Krull dimension of leading-term ideals.
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
-run on a small module-level Buchberger with a position-over-term order
-whose slot 0 dominates: basis elements with zero slot 0 then generate
-exactly the syzygies, and reducing (p, 0, ..., 0) reads off a lift of p.
+run on the same engine: each vector (g_j, e_j) or (d_k, 0) becomes the
+polynomial e_0*g_j + e_{1+j} or e_0*d_k in ring[e_0..e_t], under a block
+order whose lex tag block dominates (position over term, slot 0 first).
+Remainders without e_0 in their leading monomial are syzygies; they are
+collected and never join the basis (Schreyer), and reducing e_0*p by the
+basis reads off a lift of p.
 """
 from __future__ import annotations
 
 from .errors import NotAMember, RingMismatch
 from .ring import (
+    LEX,
+    Block,
     Polynomial,
     PolyRing,
     MonomialOrder,
     divide_with_remainder,
     elimination_order,
+    fresh_name,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -60,11 +66,21 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _interreduce(polys, ring):
+def _set_aside(r, syzygies) -> bool:
+    """In a tagged run (``syzygies`` is a list), a remainder whose leading
+    monomial lacks e_0, variable 0, is a syzygy: collect it, so that it
+    never joins the basis."""
+    if syzygies is None or r.LM[0]:
+        return False
+    syzygies.append(r)
+    return True
+
+
+def _interreduce(polys, syzygies=None):
     """Repeatedly reduce each polynomial by the others until stable.
     Change is tracked through the division quotients, not by comparing
     the polynomial lists."""
-    current = [p.monic() for p in polys if p]
+    current = [p.monic() for p in polys if p and not _set_aside(p, syzygies)]
     changed = True
     while changed:
         changed = False
@@ -77,7 +93,7 @@ def _interreduce(polys, ring):
             qs, r = divide_with_remainder(p, others)
             if any(q.terms for q in qs):
                 changed = True
-            if r:
+            if r and not _set_aside(r, syzygies):
                 reduced.append(r.monic())
         current = reduced
     return current
@@ -107,9 +123,14 @@ def _reduced_groebner(gens, ring, order):
     return tuple(basis)
 
 
-def _buchberger(polys, ring):
-    """Reduced Groebner basis, Becker-Weispfenning style update loop."""
-    f = _interreduce(polys, ring)
+def _buchberger(polys, ring, syzygies=None):
+    """Reduced Groebner basis, Becker-Weispfenning style update loop.
+
+    With a ``syzygies`` list the input is tagged (see ``_tagged_run``):
+    tag-free remainders go to that list, so only slot-0 pairs are formed,
+    and the coprime criterion never fires on them because they share e_0.
+    """
+    f = _interreduce(polys, syzygies)
     if not f:
         return []
     key = ring.order.key
@@ -159,7 +180,7 @@ def _buchberger(polys, ring):
         s = _spoly(f[pair[0]], f[pair[1]])
         reducers = sorted(G, key=lambda g: key(f[g].LM))
         _, r = divide_with_remainder(s, [f[g] for g in reducers]) if reducers else ([], s)
-        if r:
+        if r and not _set_aside(r, syzygies):
             f.append(r.monic())
             G, CP = update(G, CP, len(f) - 1)
 
@@ -212,110 +233,36 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     return a.groebner_basis() == b.groebner_basis()
 
 
-# -- module engine (position over term, slot 0 dominant) ------------------
+# -- syzygies and lifts on tagged polynomials -----------------------------
 
-def _vec_lead(v):
-    for pos, comp in enumerate(v):
-        if comp:
-            return pos, comp.LM, comp.LC
-    return None
+def _tagged_run(gens, ambient: Ideal):
+    """Schreyer run on e_0*g_j + e_{1+j} and e_0*d_k in ring[e_0..e_t].
 
-
-def _vec_sub(v, w):
-    return tuple(a - b for a, b in zip(v, w))
-
-
-def _vec_mul_term(v, monomial, coeff):
-    return tuple(c.mul_term(monomial, coeff) for c in v)
-
-
-def _vec_is_zero(v):
-    return all(not c for c in v)
-
-
-def _vec_monic(v):
-    lead = _vec_lead(v)
-    if lead is None or lead[2].is_one():
-        return v
-    inv = lead[2].inverse()
-    return tuple(c * inv for c in v)
+    Returns the tagged ring, the basis (every element has e_0 in its
+    leading monomial) and the collected tag-free syzygies."""
+    ring = ambient.ring
+    tags = []
+    for j in range(len(gens) + 1):
+        tags.append(fresh_name(ring.variables + tuple(tags), f"_e{j}"))
+    width = len(tags)
+    tagged = PolyRing(ring.field, tuple(tags) + ring.variables, Block(
+        (range(width), LEX), (range(width, width + ring.nvars), ring.order)))
+    e = [tagged.var(name) for name in tags]
+    polys = [e[0] * g.map_to(tagged) + e[1 + j] for j, g in enumerate(gens)]
+    polys += [e[0] * d.map_to(tagged) for d in ambient.generators]
+    found: list = []
+    basis = _buchberger(polys, tagged, found)
+    # certify: every tagged input reduces to a tag-free remainder
+    for p in polys:
+        _, r = divide_with_remainder(p, basis)
+        if r and r.LM[0]:
+            raise AssertionError("tagged generator escaped its own basis")
+    return tagged, basis, found
 
 
-def _vec_reduce(v, basis):
-    """Full normal form of a module vector against ``basis``."""
-    if not basis:
-        return v
-    ring = v[0].ring
-    result = [ring.zero] * len(v)
-    work = v
-    while True:
-        lead = _vec_lead(work)
-        if lead is None:
-            return tuple(result)
-        pos, m, c = lead
-        hit = None
-        for w in basis:
-            wl = _vec_lead(w)
-            if wl is not None and wl[0] == pos:
-                q = monomial_div(m, wl[1])
-                if q is not None:
-                    hit = (w, q, c / wl[2])
-                    break
-        if hit is None:
-            # move the irreducible lead term over and continue on the tail
-            result[pos] = result[pos] + ring.term(m, c)
-            stripped = list(work)
-            stripped[pos] = work[pos] - ring.term(m, c)
-            work = tuple(stripped)
-        else:
-            w, q, coeff = hit
-            work = _vec_sub(work, _vec_mul_term(w, q, coeff))
-
-
-def _module_groebner(vectors):
-    """Plain Buchberger over a free module; pairs only share a position.
-
-    The coprime-leading-term shortcut is not valid for modules, so no
-    criteria are applied; inputs here are always small.
-    """
-    basis = [_vec_monic(v) for v in vectors if not _vec_is_zero(v)]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-             if _vec_lead(basis[i])[0] == _vec_lead(basis[j])[0]]
-    while pairs:
-        i, j = pairs.pop(0)
-        vi, vj = basis[i], basis[j]
-        pi, mi, ci = _vec_lead(vi)
-        _, mj, cj = _vec_lead(vj)
-        lcm = monomial_lcm(mi, mj)
-        s = _vec_sub(_vec_mul_term(vi, monomial_div(lcm, mi), ci.inverse()),
-                     _vec_mul_term(vj, monomial_div(lcm, mj), cj.inverse()))
-        r = _vec_reduce(s, basis)
-        if not _vec_is_zero(r):
-            r = _vec_monic(r)
-            basis.append(r)
-            k = len(basis) - 1
-            rp = _vec_lead(r)[0]
-            pairs.extend((i2, k) for i2 in range(k)
-                         if _vec_lead(basis[i2])[0] == rp)
-    return basis
-
-
-def _tagged_module(gens, ambient: Ideal):
-    """Vectors (g_j, e_j) plus (d_k, 0) over slots [value, tag_0..tag_t]."""
-    ring = gens[0].ring if gens else ambient.ring
-    width = 1 + len(gens)
-    zero = ring.zero
-    vectors = []
-    for j, g in enumerate(gens):
-        v = [zero] * width
-        v[0] = g
-        v[1 + j] = ring.one
-        vectors.append(tuple(v))
-    for d in ambient.generators:
-        v = [zero] * width
-        v[0] = d
-        vectors.append(tuple(v))
-    return vectors
+def _untag(s: Polynomial, width: int, ring: PolyRing):
+    """Slots 1..t of a tag-free tagged polynomial, as elements of ``ring``."""
+    return tuple(s.coefficient_in(j, 1).map_to(ring) for j in range(1, width))
 
 
 class SyzygyModule:
@@ -342,16 +289,10 @@ def syzygies(gens, ambient: Ideal) -> SyzygyModule:
     for g in gens:
         if g.ring != ambient.ring:
             raise RingMismatch("generators and ambient ideal disagree on ring")
-    basis = _module_groebner(_tagged_module(gens, ambient))
-    out = [v[1:] for v in basis if not v[0]]
-    out.sort(key=_syzygy_sort_key, reverse=True)
-    return SyzygyModule(len(gens), out)
-
-
-def _syzygy_sort_key(v):
-    lead = _vec_lead(v)
-    ring = v[0].ring
-    return (-lead[0], ring.order.key(lead[1]))
+    tagged, _, found = _tagged_run(gens, ambient)
+    found.sort(key=lambda s: tagged.order.key(s.LM), reverse=True)
+    return SyzygyModule(len(gens), [_untag(s, 1 + len(gens), ambient.ring)
+                                    for s in found])
 
 
 def lift(p: Polynomial, gens, ambient: Ideal):
@@ -359,13 +300,12 @@ def lift(p: Polynomial, gens, ambient: Ideal):
     gens = list(gens)
     if p.ring != ambient.ring:
         raise RingMismatch("element and ambient ideal disagree on ring")
-    basis = _module_groebner(_tagged_module(gens, ambient))
-    ring = p.ring
-    probe = tuple([p] + [ring.zero] * len(gens))
-    nf = _vec_reduce(probe, basis)
-    if nf[0]:
+    tagged, basis, _ = _tagged_run(gens, ambient)
+    e0 = tagged.var(tagged.variables[0])
+    _, r = divide_with_remainder(e0 * p.map_to(tagged), basis)
+    if r and r.LM[0]:
         raise NotAMember(f"{p} is not in the ideal generated by the lift targets")
-    return [-c for c in nf[1:]]
+    return [-c for c in _untag(r, 1 + len(gens), p.ring)]
 
 
 # -- elimination and dimension --------------------------------------------

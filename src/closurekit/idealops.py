@@ -31,6 +31,7 @@ from .ring import (
     Polynomial,
     PolyRing,
     divide_with_remainder,
+    fresh_name,
 )
 
 
@@ -56,18 +57,9 @@ class QuotientRingContext:
         return f"{self.ring!r} / {self.defining!r}"
 
 
-def _fresh_name(ring: PolyRing, stem: str = "_t") -> str:
-    name = stem
-    k = 0
-    while name in ring.variables:
-        k += 1
-        name = f"{stem}{k}"
-    return name
-
-
 def _adjoined(ring: PolyRing):
     """Ring with one fresh variable in a dominant lex block."""
-    name = _fresh_name(ring)
+    name = fresh_name(ring.variables)
     extended = PolyRing(
         ring.field,
         (name,) + ring.variables,

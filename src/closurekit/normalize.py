@@ -425,8 +425,13 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
                      f"{adj.name}: integrality witness left the defining ideal")
         report.note(f"component {comp.index}: integrality witnesses ok")
 
-        # (d) denominator certificates, level by level
+        # (d) denominator certificates, level by level; the variables of
+        # one level share the eliminated ring and usually the denominator
+        checked = set()
         for adj in pres.adjoined:
+            if (adj.level, adj.denominator) in checked:
+                continue
+            checked.add((adj.level, adj.denominator))
             higher = {a.name for a in pres.adjoined if a.level >= adj.level}
             level_ideal = eliminate(pres.defining, higher)
             lower_vars = [v for v in pres.ring.variables if v not in higher]

@@ -204,6 +204,16 @@ class PolyRing:
         return f"{self.field!r}[{', '.join(self.variables)}; {self.order.name}]"
 
 
+def fresh_name(taken, stem: str = "_t") -> str:
+    """``stem``, or ``stem`` with the smallest numeric suffix, not in ``taken``."""
+    name = stem
+    k = 0
+    while name in taken:
+        k += 1
+        name = f"{stem}{k}"
+    return name
+
+
 class Polynomial:
     """Immutable sparse polynomial with strictly descending terms."""
 

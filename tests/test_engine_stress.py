@@ -1,6 +1,6 @@
 """Definitional cross-checks of the Groebner engine: the basis property
 itself (every S-polynomial reduces to zero through plain division), the
-module analogue for syzygy bases, and constructed-radical equality for
+tagged analogue for syzygy runs, and constructed-radical equality for
 products of distinct linear forms."""
 import random
 
@@ -18,7 +18,7 @@ from closurekit import (
     syzygies,
 )
 from closurekit.ring import monomial_div, monomial_lcm
-from oracles import monomials_up_to
+from oracles import brute_force_syzygies, in_module_span, monomials_up_to
 
 
 def spoly(f, g):
@@ -80,17 +80,10 @@ def test_basis_is_reduced():
 
 
 def test_module_basis_property():
-    # every same-position S-vector of a syzygy run reduces to zero
-    from closurekit.groebner import (
-        _module_groebner,
-        _tagged_module,
-        _vec_is_zero,
-        _vec_lead,
-        _vec_monic,
-        _vec_mul_term,
-        _vec_reduce,
-        _vec_sub,
-    )
+    # every S-polynomial of two tagged basis elements (all in slot 0)
+    # reduces to a tag-free remainder, and the collected syzygies span
+    # every low-degree syzygy
+    from closurekit.groebner import _tagged_run
 
     rng = random.Random(9003)
     for _ in range(15):
@@ -101,19 +94,16 @@ def test_module_basis_property():
             continue
         ambient = Ideal(ring, [h for h in (random_poly(ring, rng, max_deg=2),)
                                if h and rng.random() < 0.5])
-        basis = _module_groebner(_tagged_module(gens, ambient))
+        _, basis, _ = _tagged_run(gens, ambient)
+        assert all(b.LM[0] for b in basis), "tag-free element in the basis"
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                li, lj = _vec_lead(basis[i]), _vec_lead(basis[j])
-                if li[0] != lj[0]:
-                    continue
-                lcm = monomial_lcm(li[1], lj[1])
-                s = _vec_sub(
-                    _vec_mul_term(basis[i], monomial_div(lcm, li[1]),
-                                  li[2].inverse()),
-                    _vec_mul_term(basis[j], monomial_div(lcm, lj[1]),
-                                  lj[2].inverse()))
-                assert _vec_is_zero(_vec_reduce(s, basis))
+                _, r = divide_with_remainder(spoly(basis[i], basis[j]), basis)
+                assert not r or not r.LM[0], "S-polynomial escaped slot 0"
+        module = list(syzygies(gens, ambient))
+        amb = list(ambient.generators)
+        for vec in brute_force_syzygies(gens, amb, 2):
+            assert in_module_span(vec, module, amb, 3)
 
 
 def _random_linear(ring, rng):

@@ -94,6 +94,16 @@ def test_koszul_syzygy(ring_xy):
     # completeness against the brute-force degree-by-degree solve
     for vec in brute_force_syzygies([x, y], [], 4):
         assert in_module_span(vec, list(module), [], 5)
+    # a zero generator is a syzygy by itself; x, 2x relate before any pair
+    zero, one = ring_xy.zero, ring_xy.one
+    for gens, expected in (([zero], (one,)), ([zero, x], (one, zero)),
+                           ([x, 2 * x], (2 * one, -one))):
+        module = syzygies(gens, Ideal(ring_xy, []))
+        for vec in module:
+            assert sum((c * g for c, g in zip(vec, gens)), zero).is_zero()
+        assert in_module_span(expected, list(module), [], 2)
+        for vec in brute_force_syzygies(gens, [], 2):
+            assert in_module_span(vec, list(module), [], 3)
 
 
 def test_syzygies_modulo_ambient(ring_xy):
@@ -107,6 +117,15 @@ def test_syzygies_modulo_ambient(ring_xy):
     assert in_module_span((-(x**2), y), list(module), amb, 4)
     for vec in brute_force_syzygies([x, y], amb, 3):
         assert in_module_span(vec, list(module), amb, 5)
+    # variables named like the internal tags must not collide with them
+    R = PolyRing(QQ, ["_e0", "_t"])
+    u, v = R.gens()
+    amb = [v * v - u ** 3]
+    module = syzygies([u, v], Ideal(R, amb))
+    for vec in module:
+        assert ideal_member(vec[0] * u + vec[1] * v, Ideal(R, amb))
+    assert in_module_span((v, -u), list(module), amb, 4)
+    assert in_module_span((-(u**2), v), list(module), amb, 4)
 
 
 def test_nonzerodivisor_has_no_syzygy(ring_xy):
@@ -121,6 +140,7 @@ def test_lift_simple(ring_xy):
     coeffs = lift(target, gens, Ideal(ring_xy, []))
     assert sum((c * g for c, g in zip(coeffs, gens)), ring_xy.zero) == target
     assert coeffs == lift(target, gens, Ideal(ring_xy, []))  # deterministic
+    assert lift(ring_xy.zero, gens, Ideal(ring_xy, [])) == [ring_xy.zero] * 2
 
 
 def test_lift_identity(ring_xy):
@@ -133,6 +153,17 @@ def test_lift_modulo_ambient(ring_xy):
     coeffs = lift(P(ring_xy, "x^3"), [P(ring_xy, "y^2")], ambient)
     residue = P(ring_xy, "x^3") - coeffs[0] * P(ring_xy, "y^2")
     assert ideal_member(residue, ambient)
+    # a target in the ambient ideal alone, outside the generated ideal
+    target, g = P(ring_xy, "y^2 - x^3"), P(ring_xy, "x*y + 1")
+    assert not ideal_member(target, Ideal(ring_xy, [g]))
+    coeffs = lift(target, [g], ambient)
+    assert ideal_member(target - coeffs[0] * g, ambient)
+    # the same lift where the variables are named like the internal tags
+    R = PolyRing(QQ, ["_e0", "_t"])
+    u, v = R.gens()
+    ambient = Ideal(R, [v * v - u ** 3])
+    coeffs = lift(u ** 3, [v * v], ambient)
+    assert ideal_member(u ** 3 - coeffs[0] * v * v, ambient)
 
 
 def test_lift_rejects_non_member(ring_xy):

@@ -245,6 +245,22 @@ def test_verify_rejects_tampered_result(ring_xy):
         verify_result(pres, NormalizationResult([comp], res.trace))
 
 
+def test_verify_rejects_zerodivisor_denominator(ring_xy):
+    # A4 adjoins T1_1 = y/x and T2_1 = T1_1/x; check (d) runs once per
+    # (level, denominator), and a bad level-2 denominator is still caught
+    from dataclasses import replace
+
+    pres = presentation(ring_xy, [P(ring_xy, "y^2 - x^5")])
+    res = normalize(pres)
+    comp = res.components[0]
+    first, second = comp.presentation.adjoined
+    assert first.denominator == second.denominator.map_to(ring_xy)
+    tampered = replace(second, denominator=comp.presentation.ring.zero)
+    comp.presentation = replace(comp.presentation, adjoined=(first, tampered))
+    with pytest.raises(VerificationFailed, match="T2_1: tower denominator"):
+        verify_result(pres, res)
+
+
 def test_split_intersection_soundness(ring_xy):
     # on a split into (f) and J, both f*J and (f) ∩ J land in D
     from closurekit import intersect
