@@ -35,6 +35,10 @@ class Field:
     def element(self, value) -> FieldElement:
         raise NotImplementedError
 
+    def raw(self, value):
+        """Canonical plain value, as polynomials store it (see ``ring``)."""
+        return self.element(value).value
+
     @property
     def zero(self) -> FieldElement:
         return self.element(0)
@@ -55,6 +59,11 @@ class RationalField(Field):
                 raise FieldMismatch("cannot move an element between fields")
             return value
         return FieldElement(self, Fraction(value))
+
+    def raw(self, value):
+        """An ``int`` when the value is integral, else a ``Fraction``."""
+        v = self.element(value).value
+        return v.numerator if v.denominator == 1 else v
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -199,14 +208,3 @@ class FieldElement:
     def __repr__(self):
         return f"{self.field!r}({self.value})"
 
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()

@@ -12,6 +12,9 @@ basis reads off a lift of p.
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import chain
+
 from .errors import NotAMember, RingMismatch
 from .ring import (
     LEX,
@@ -91,7 +94,7 @@ def _interreduce(polys, syzygies=None):
                 reduced.append(p)
                 continue
             qs, r = divide_with_remainder(p, others)
-            if any(q.terms for q in qs):
+            if any(qs):
                 changed = True
             if r and not _set_aside(r, syzygies):
                 reduced.append(r.monic())
@@ -100,10 +103,17 @@ def _interreduce(polys, syzygies=None):
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """lcm/LT(f) * f - lcm/LT(g) * g; the leading terms cancel exactly,
+    so only the tails are combined."""
     lcm = monomial_lcm(f.LM, g.LM)
-    mf = monomial_div(lcm, f.LM)
-    mg = monomial_div(lcm, g.LM)
-    return f.mul_term(mf, f.LC.inverse()) - g.mul_term(mg, g.LC.inverse())
+    d = {}
+    get = d.get
+    for h, sign in ((f.monic(), 1), (g.monic(), -1)):
+        shift = monomial_div(lcm, h.LM)
+        for m, c in h.raw[1:]:
+            m = monomial_mul(m, shift)
+            d[m] = get(m, 0) + sign * c
+    return f.ring.from_raw(d)
 
 
 def _reduced_groebner(gens, ring, order):
@@ -124,7 +134,12 @@ def _reduced_groebner(gens, ring, order):
 
 
 def _buchberger(polys, ring, syzygies=None):
-    """Reduced Groebner basis, Becker-Weispfenning style update loop.
+    """Reduced Groebner basis, Gebauer-Moeller pair update with
+    normal-strategy selection (smallest lcm first, ties by index).
+
+    Each pair keeps the lcm of its leading monomials from creation on;
+    pairs wait in a heap keyed by that lcm, and a pair the chain
+    criterion discards is dropped from ``CP`` and skipped when popped.
 
     With a ``syzygies`` list the input is tagged (see ``_tagged_run``):
     tag-free remainders go to that list, so only slot-0 pairs are formed,
@@ -134,55 +149,57 @@ def _buchberger(polys, ring, syzygies=None):
     if not f:
         return []
     key = ring.order.key
+    lm = [p.LM for p in f]
 
     G: set = set()      # indices of the current basis
-    CP: set = set()     # critical pairs (i, j)
+    CP: dict = {}       # live critical pairs (i, j) -> lcm of their LMs
+    heap: list = []     # (key(lcm), i, j) for every pair ever created
 
-    def update(G, CP, h_idx):
-        # discard pairs by the coprime and chain criteria
-        mh = f[h_idx].LM
-        C, D = set(G), set()
+    def update(h):
+        nonlocal G
+        mh = lm[h]
+        lcm_h = {g: monomial_lcm(mh, lm[g]) for g in G}
+        # new pairs (h, g): keep the coprime ones for now, and those whose
+        # lcm no other new pair's lcm divides (chain criterion)
+        C, D = set(G), []
         while C:
-            g_idx = C.pop()
-            mg = f[g_idx].LM
-            lcm_hg = monomial_lcm(mh, mg)
+            g = C.pop()
+            lcm_hg = lcm_h[g]
+            if monomial_mul(mh, lm[g]) == lcm_hg or not any(
+                    monomial_divides(lcm_h[k], lcm_hg) for k in chain(C, D)):
+                D.append(g)
+        # an old pair (i, j) goes when mh divides its lcm and neither
+        # lcm(i, h) nor lcm(j, h) equals it (chain criterion)
+        for (i, j), lcm_ij in list(CP.items()):
+            if (monomial_divides(mh, lcm_ij)
+                    and monomial_lcm(lm[i], mh) != lcm_ij
+                    and monomial_lcm(lm[j], mh) != lcm_ij):
+                del CP[i, j]
+        # queue the kept pairs; coprime ones reduce to zero and are dropped
+        for g in D:
+            lcm_hg = lcm_h[g]
+            if monomial_mul(mh, lm[g]) != lcm_hg:
+                CP[h, g] = lcm_hg
+                heappush(heap, (key(lcm_hg), h, g))
+        G = {g for g in G if not monomial_divides(mh, lm[g])}
+        G.add(h)
 
-            def lcm_divides(k):
-                return monomial_div(lcm_hg, monomial_lcm(mh, f[k].LM))
+    for i in sorted(range(len(f)), key=lambda k: key(lm[k])):
+        update(i)
 
-            if monomial_mul(mh, mg) == lcm_hg or (
-                not any(lcm_divides(k) for k in C)
-                and not any(lcm_divides(k) for _, k in D)
-            ):
-                D.add((h_idx, g_idx))
-        E = {(i, j) for i, j in D
-             if monomial_mul(mh, f[j].LM) != monomial_lcm(mh, f[j].LM)}
-        CP_new = set()
-        while CP:
-            i, j = CP.pop()
-            lcm_ij = monomial_lcm(f[i].LM, f[j].LM)
-            if (not monomial_div(lcm_ij, mh)
-                    or monomial_lcm(f[i].LM, mh) == lcm_ij
-                    or monomial_lcm(f[j].LM, mh) == lcm_ij):
-                CP_new.add((i, j))
-        CP_new |= E
-        G_new = {g for g in G if not monomial_div(f[g].LM, mh)}
-        G_new.add(h_idx)
-        return G_new, CP_new
-
-    for i in sorted(range(len(f)), key=lambda k: key(f[k].LM)):
-        G, CP = update(G, CP, i)
-
+    reducers = None     # G sorted by leading monomial, rebuilt when G changes
     while CP:
-        pair = min(CP, key=lambda ij: (key(monomial_lcm(f[ij[0]].LM, f[ij[1]].LM)),
-                                       ij[0], ij[1]))
-        CP.remove(pair)
-        s = _spoly(f[pair[0]], f[pair[1]])
-        reducers = sorted(G, key=lambda g: key(f[g].LM))
-        _, r = divide_with_remainder(s, [f[g] for g in reducers]) if reducers else ([], s)
+        _, i, j = heappop(heap)
+        if CP.pop((i, j), None) is None:
+            continue
+        if reducers is None:
+            reducers = [f[g] for g in sorted(G, key=lambda g: key(lm[g]))]
+        _, r = divide_with_remainder(_spoly(f[i], f[j]), reducers)
         if r and not _set_aside(r, syzygies):
             f.append(r.monic())
-            G, CP = update(G, CP, len(f) - 1)
+            lm.append(r.LM)
+            update(len(f) - 1)
+            reducers = None
 
     # minimalize, then tail-reduce: the reduced basis is unique
     minimal = [f[g] for g in G]
@@ -297,15 +314,29 @@ def syzygies(gens, ambient: Ideal) -> SyzygyModule:
 
 def lift(p: Polynomial, gens, ambient: Ideal):
     """Coefficients c_j with p - sum(c_j g_j) in the ambient ideal."""
-    gens = list(gens)
-    if p.ring != ambient.ring:
-        raise RingMismatch("element and ambient ideal disagree on ring")
+    (coeffs,) = lift_all([p], gens, ambient)
+    if coeffs is None:
+        raise NotAMember(f"{p} is not in the ideal generated by the lift targets")
+    return coeffs
+
+
+def lift_all(targets, gens, ambient: Ideal):
+    """``lift`` of every target against one tagged basis of ``gens``;
+    None in place of the coefficients of a target outside the ideal."""
+    targets, gens = list(targets), list(gens)
+    for p in targets:
+        if p.ring != ambient.ring:
+            raise RingMismatch("element and ambient ideal disagree on ring")
+    if not targets:
+        return []
     tagged, basis, _ = _tagged_run(gens, ambient)
     e0 = tagged.var(tagged.variables[0])
-    _, r = divide_with_remainder(e0 * p.map_to(tagged), basis)
-    if r and r.LM[0]:
-        raise NotAMember(f"{p} is not in the ideal generated by the lift targets")
-    return [-c for c in _untag(r, 1 + len(gens), p.ring)]
+    out = []
+    for p in targets:
+        _, r = divide_with_remainder(e0 * p.map_to(tagged), basis)
+        out.append(None if r and r.LM[0] else
+                   [-c for c in _untag(r, 1 + len(gens), ambient.ring)])
+    return out
 
 
 # -- elimination and dimension --------------------------------------------

@@ -309,11 +309,11 @@ def _dep_leading_data(g: Polynomial, dep: tuple, block: Block):
     lead_dep = tuple(work.LM[i] for i in dep)
     ring = g.ring
     d = {}
-    for m, c in g.terms:
+    for m, c in g.raw:
         if tuple(m[i] for i in dep) == lead_dep:
             key = tuple(0 if i in dep else e for i, e in enumerate(m))
-            d[key] = d.get(key, ring.field.zero) + c
-    return ring.from_dict(d)
+            d[key] = d.get(key, 0) + c
+    return ring.from_raw(d)
 
 
 def _radical_general(I: Ideal, char: int, depth: int, max_depth: int) -> Ideal:

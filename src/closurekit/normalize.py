@@ -22,11 +22,10 @@ from .errors import (
     EmptyIdeal,
     IterationLimitExceeded,
     LiftFailed,
-    NotAMember,
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from .groebner import Ideal, eliminate, lift, normal_form, syzygies
+from .groebner import Ideal, eliminate, lift_all, normal_form, syzygies
 from .idealops import (
     QuotientRingContext,
     annihilator,
@@ -234,17 +233,17 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal, f: Polynomial) -> EndoPre
             numerators.append(r)
 
     linear = tuple(tuple(v) for v in syzygies(numerators, ctx.defining))
-    quadratic = {}
     scaled = [ctx.nf(f * a) for a in numerators]
-    for i in range(1, len(numerators)):
-        for j in range(i, len(numerators)):
-            product = ctx.nf(numerators[i] * numerators[j])
-            try:
-                quadratic[(i, j)] = lift(product, scaled, ctx.defining)
-            except NotAMember as exc:
-                raise LiftFailed(
-                    f"product of numerators {i},{j} escaped f*Hom; "
-                    "the endomorphism module is not closed") from exc
+    pairs = [(i, j) for i in range(1, len(numerators))
+             for j in range(i, len(numerators))]
+    products = [ctx.nf(numerators[i] * numerators[j]) for i, j in pairs]
+    quadratic = {}
+    for (i, j), coeffs in zip(pairs, lift_all(products, scaled, ctx.defining)):
+        if coeffs is None:
+            raise LiftFailed(
+                f"product of numerators {i},{j} escaped f*Hom; "
+                "the endomorphism module is not closed")
+        quadratic[(i, j)] = coeffs
     return EndoPresentation(ctx, f, tuple(numerators), linear, quadratic)
 
 

@@ -3,11 +3,28 @@
 Monomials are plain exponent tuples; a polynomial is an immutable,
 strictly descending term list under its ring's order.  The zero
 polynomial is the empty term list.
+
+Coefficients are stored raw: an ``int`` in [0, p) over GF(p); over QQ
+an ``int`` when integral, else a ``Fraction`` (integral rationals are
+the common case, and ``int`` arithmetic runs in C).  Arithmetic,
+division and the Buchberger loop work on these values directly;
+``FieldElement`` objects appear only at the public boundary (``terms``,
+``LC``, ``LT``, ``constant_value``).  Sorting goes through each order's
+``desc_key``, computed once per term.
+
+Division reduces in place: the working polynomial is a dict from
+monomial to raw coefficient plus a heap of its monomials keyed by
+``desc_key``, so the largest pending term is always on top.  Subtracting
+a multiple of a divisor touches only the dict entries it hits and
+pushes only monomials that are new; quotient and remainder terms come
+out in descending order and need no sort.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
+from operator import add, itemgetter, le, neg, sub
 
 from .errors import (
     LengthMismatch,
@@ -21,25 +38,22 @@ Monomial = tuple  # exponent vector, one entry per ring variable
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def monomial_div(m1: Monomial, m2: Monomial):
     """Return m1/m2, or None when m2 does not divide m1."""
-    out = []
-    for a, b in zip(m1, m2):
-        if a < b:
-            return None
-        out.append(a - b)
-    return tuple(out)
+    if all(map(le, m2, m1)):
+        return tuple(map(sub, m1, m2))
+    return None
 
 
 def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def monomial_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -49,12 +63,17 @@ def monomial_degree(m: Monomial) -> int:
 class MonomialOrder:
     """Total well-order on monomials, compatible with multiplication.
 
-    Subclasses supply ``key``: a sort key that is ascending in the order.
+    Subclasses supply two sort keys: ``key`` is ascending in the order,
+    ``desc_key`` is ascending in the reverse order, so sorting by it
+    lists monomials largest first and a min-heap on it pops the largest.
     """
 
     name = "?"
 
     def key(self, m: Monomial):
+        raise NotImplementedError
+
+    def desc_key(self, m: Monomial):
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -73,12 +92,27 @@ class Lex(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
+    def desc_key(self, m: Monomial):
+        return tuple(map(neg, m))
+
 
 class DegRevLex(MonomialOrder):
     name = "degrevlex"
 
     def key(self, m: Monomial):
         return (sum(m), tuple(-e for e in reversed(m)))
+
+    def desc_key(self, m: Monomial):
+        return (-sum(m), m[::-1])
+
+
+def _picker(ix):
+    """Function taking the exponents at indices ``ix`` out of a monomial,
+    as a tuple; a slice when the indices are contiguous."""
+    lo = ix[0] if ix else 0
+    if ix == tuple(range(lo, lo + len(ix))):
+        return itemgetter(slice(lo, lo + len(ix)))
+    return itemgetter(*ix)  # not contiguous, so at least two indices
 
 
 class Block(MonomialOrder):
@@ -94,9 +128,15 @@ class Block(MonomialOrder):
         self.name = "block(" + ";".join(
             f"{sub.name}[{','.join(map(str, ix))}]" for ix, sub in self.blocks
         ) + ")"
+        picks = [_picker(ix) for ix, _ in self.blocks]
+        self._keys = tuple(zip(picks, (sub.key for _, sub in self.blocks)))
+        self._desc_keys = tuple(zip(picks, (sub.desc_key for _, sub in self.blocks)))
 
     def key(self, m: Monomial):
-        return tuple(sub.key(tuple(m[i] for i in ix)) for ix, sub in self.blocks)
+        return tuple([key(pick(m)) for pick, key in self._keys])
+
+    def desc_key(self, m: Monomial):
+        return tuple([key(pick(m)) for pick, key in self._desc_keys])
 
 
 LEX = Lex()
@@ -140,6 +180,7 @@ class PolyRing:
         self.order = order
         self.nvars = len(variables)
         self._zero_monomial = (0,) * self.nvars
+        self._one = field.raw(1)
 
     def index(self, name: str) -> int:
         try:
@@ -153,32 +194,42 @@ class PolyRing:
 
     @property
     def one(self) -> "Polynomial":
-        return self.from_scalar(self.field.one)
+        return Polynomial(self, ((self._zero_monomial, self._one),))
 
     def from_scalar(self, c) -> "Polynomial":
-        c = self.field.element(c)
-        if c.is_zero():
-            return self.zero
-        return Polynomial(self, ((self._zero_monomial, c),))
+        return self.term(self._zero_monomial, c)
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         m = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((m, self.field.one),))
+        return Polynomial(self, ((m, self._one),))
 
     def gens(self):
         return [self.var(v) for v in self.variables]
 
     def term(self, monomial, coeff) -> "Polynomial":
-        coeff = self.field.element(coeff)
-        if coeff.is_zero():
+        c = self.field.raw(coeff)
+        if not c:
             return self.zero
-        return Polynomial(self, ((tuple(monomial), coeff),))
+        return Polynomial(self, ((tuple(monomial), c),))
 
     def from_dict(self, d) -> "Polynomial":
-        terms = [(m, c) for m, c in d.items() if not c.is_zero()]
-        terms.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(terms))
+        """Polynomial from {monomial: coefficient}; zero terms are dropped."""
+        raw = self.field.raw
+        return self.from_raw({m: raw(c) for m, c in d.items()})
+
+    def from_raw(self, d) -> "Polynomial":
+        """Polynomial from {monomial: raw coefficient}.  Over GF(p) the
+        coefficients may be any ints, and over QQ integral Fractions;
+        both are made canonical here."""
+        p = self.field.characteristic
+        if p:
+            d = {m: c % p for m, c in d.items()}
+        else:
+            d = {m: _rational(c) for m, c in d.items()}
+        monos = [m for m, c in d.items() if c]
+        monos.sort(key=self.order.desc_key)
+        return Polynomial(self, [(m, d[m]) for m in monos])
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         if order == self.order:
@@ -190,7 +241,7 @@ class PolyRing:
                         order or self.order)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables
@@ -214,71 +265,93 @@ def fresh_name(taken, stem: str = "_t") -> str:
     return name
 
 
+def _rational(c):
+    """Canonical raw rational: an integral Fraction becomes an int."""
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+
+def _inverse(c, p: int):
+    """Inverse of a nonzero raw coefficient (p = 0 for QQ)."""
+    if c == 1:
+        return c
+    return pow(c, -1, p) if p else _rational(Fraction(1) / c)
+
+
 class Polynomial:
-    """Immutable sparse polynomial with strictly descending terms."""
+    """Immutable sparse polynomial with strictly descending terms.
 
-    __slots__ = ("ring", "terms")
+    ``raw`` holds the (monomial, raw coefficient) pairs; build instances
+    through the ring (``from_dict``, ``term``, ``var``, ...) or arithmetic.
+    """
 
-    def __init__(self, ring: PolyRing, terms):
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring: PolyRing, raw):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "raw", tuple(raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- basic structure ------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms as (monomial, FieldElement) pairs, largest first."""
+        element = self.ring.field.element
+        return tuple([(m, element(c)) for m, c in self.raw])
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw)
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms[0][0] == self.ring._zero_monomial
+        return not self.raw or self.raw[0][0] == self.ring._zero_monomial
 
     def constant_value(self) -> FieldElement:
-        if not self.terms:
+        if not self.raw:
             return self.ring.field.zero
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[0][1]
+        return self.LC
 
     @property
     def LM(self) -> Monomial:
-        return self.terms[0][0]
+        return self.raw[0][0]
 
     @property
     def LC(self) -> FieldElement:
-        return self.terms[0][1]
+        return self.ring.field.element(self.raw[0][1])
 
     @property
     def LT(self):
-        return self.terms[0]
+        return (self.raw[0][0], self.LC)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.raw:
             return -1
-        return max(monomial_degree(m) for m, _ in self.terms)
+        return max(monomial_degree(m) for m, _ in self.raw)
 
     def degree_in(self, var_index: int) -> int:
-        if not self.terms:
+        if not self.raw:
             return -1
-        return max(m[var_index] for m, _ in self.terms)
+        return max(m[var_index] for m, _ in self.raw)
 
     def coefficient_in(self, var_index: int, exponent: int) -> "Polynomial":
         """Coefficient of x_i^e, as a polynomial with x_i removed from its
         exponents (still living in the same ring)."""
         d = {}
-        for m, c in self.terms:
+        for m, c in self.raw:
             if m[var_index] == exponent:
-                key = tuple(0 if j == var_index else e for j, e in enumerate(m))
-                d[key] = d.get(key, self.ring.field.zero) + c
-        return self.ring.from_dict(d)
+                key = m[:var_index] + (0,) + m[var_index + 1:]
+                d[key] = d.get(key, 0) + c
+        return self.ring.from_raw(d)
 
     def variables_used(self):
         used = set()
-        for m, _ in self.terms:
+        for m, _ in self.raw:
             for i, e in enumerate(m):
                 if e:
                     used.add(i)
@@ -299,11 +372,11 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        d = dict(self.terms)
-        zero = self.ring.field.zero
-        for m, c in other.terms:
-            d[m] = d.get(m, zero) + c
-        return self.ring.from_dict(d)
+        d = dict(self.raw)
+        get = d.get
+        for m, c in other.raw:
+            d[m] = get(m, 0) + c
+        return self.ring.from_raw(d)
 
     __radd__ = __add__
 
@@ -311,34 +384,44 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        d = dict(self.terms)
-        zero = self.ring.field.zero
-        for m, c in other.terms:
-            d[m] = d.get(m, zero) - c
-        return self.ring.from_dict(d)
+        d = dict(self.raw)
+        get = d.get
+        for m, c in other.raw:
+            d[m] = get(m, 0) - c
+        return self.ring.from_raw(d)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, [(m, p - c) for m, c in self.raw])
+        return Polynomial(self.ring, [(m, -c) for m, c in self.raw])
+
+    def _scale(self, c) -> "Polynomial":
+        """Multiply by a nonzero raw scalar."""
+        if c == 1:
+            return self
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, [(m, k * c % p) for m, k in self.raw])
+        return Polynomial(self.ring, [(m, _rational(k * c)) for m, k in self.raw])
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement, Fraction)):
-            c = self.ring.field.element(other)
-            if c.is_zero():
-                return self.ring.zero
-            return Polynomial(self.ring, tuple((m, k * c) for m, k in self.terms))
+            c = self.ring.field.raw(other)
+            return self._scale(c) if c else self.ring.zero
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         d = {}
-        zero = self.ring.field.zero
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = monomial_mul(m1, m2)
-                d[m] = d.get(m, zero) + c1 * c2
-        return self.ring.from_dict(d)
+        get = d.get
+        for m1, c1 in self.raw:
+            for m2, c2 in other.raw:
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
+        return self.ring.from_raw(d)
 
     __rmul__ = __mul__
 
@@ -354,29 +437,36 @@ class Polynomial:
             n >>= 1
         return out
 
-    def mul_term(self, monomial, coeff) -> "Polynomial":
-        coeff = self.ring.field.element(coeff)
-        if coeff.is_zero():
-            return self.ring.zero
-        terms = tuple((monomial_mul(m, tuple(monomial)), c * coeff)
-                      for m, c in self.terms)
+    def _shift(self, monomial, c) -> "Polynomial":
+        """Multiply by the term c*monomial, c a nonzero raw scalar; the
+        order is compatible with multiplication, so no sort is needed."""
+        p = self.ring.field.characteristic
+        if p:
+            terms = [(tuple(map(add, m, monomial)), k * c % p) for m, k in self.raw]
+        else:
+            terms = [(tuple(map(add, m, monomial)), _rational(k * c))
+                     for m, k in self.raw]
         return Polynomial(self.ring, terms)
 
+    def mul_term(self, monomial, coeff) -> "Polynomial":
+        c = self.ring.field.raw(coeff)
+        if not c:
+            return self.ring.zero
+        return self._shift(tuple(monomial), c)
+
     def monic(self) -> "Polynomial":
-        if not self.terms or self.LC.is_one():
+        if not self.raw:
             return self
-        inv = self.LC.inverse()
-        return Polynomial(self.ring, tuple((m, c * inv) for m, c in self.terms))
+        return self._scale(_inverse(self.raw[0][1], self.ring.field.characteristic))
 
     def derivative(self, var_index: int) -> "Polynomial":
         d = {}
-        zero = self.ring.field.zero
-        for m, c in self.terms:
+        for m, c in self.raw:
             e = m[var_index]
             if e:
-                key = tuple(v - 1 if j == var_index else v for j, v in enumerate(m))
-                d[key] = d.get(key, zero) + c * e
-        return self.ring.from_dict(d)
+                key = m[:var_index] + (e - 1,) + m[var_index + 1:]
+                d[key] = d.get(key, 0) + c * e
+        return self.ring.from_raw(d)
 
     # -- migration between rings ----------------------------------------
 
@@ -392,7 +482,7 @@ class Polynomial:
             positions.append(target.variables.index(name)
                              if name in target.variables else None)
         d = {}
-        for m, c in self.terms:
+        for m, c in self.raw:
             key = [0] * target.nvars
             for i, e in enumerate(m):
                 if not e:
@@ -401,9 +491,8 @@ class Polynomial:
                     raise UnknownVariable(
                         f"variable {self.ring.variables[i]!r} not in target ring")
                 key[positions[i]] = e
-            key = tuple(key)
-            d[key] = d.get(key, target.field.zero) + c
-        return target.from_dict(d)
+            d[tuple(key)] = c  # distinct monomials have distinct images
+        return target.from_raw(d)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -411,11 +500,11 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and other.ring == self.ring
-            and other.terms == self.terms
+            and other.raw == self.raw
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self.raw))
 
     # -- printing ---------------------------------------------------------
 
@@ -429,14 +518,15 @@ class Polynomial:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
+        if not self.raw:
             return "0"
+        rational = self.ring.field.characteristic == 0
         pieces = []
-        for i, (m, c) in enumerate(self.terms):
+        for i, (m, c) in enumerate(self.raw):
             mono = self._monomial_str(m)
-            neg = self.ring.field.characteristic == 0 and c.value < 0
+            neg = rational and c < 0
             mag = -c if neg else c
-            if mono and mag.is_one():
+            if mono and mag == 1:
                 body = mono
             elif mono:
                 body = f"{mag}*{mono}"
@@ -454,23 +544,20 @@ class Polynomial:
         return str(self.input_normalized())
 
     def input_normalized(self) -> "Polynomial":
-        if not self.terms or self.ring.field.characteristic:
+        if not self.raw or self.ring.field.characteristic:
             return self
         den_lcm = 1
-        for _, c in self.terms:
-            q = c.value.denominator
+        for _, c in self.raw:
+            q = c.denominator
             den_lcm = den_lcm * q // gcd(den_lcm, q)
-        nums = [c.value.numerator * (den_lcm // c.value.denominator)
-                for _, c in self.terms]
+        nums = [c.numerator * (den_lcm // c.denominator) for _, c in self.raw]
         g = 0
         for n in nums:
             g = gcd(g, abs(n))
         if nums[0] < 0:
             nums = [-n for n in nums]
-        field = self.ring.field
-        return Polynomial(self.ring, tuple(
-            (m, field.element(Fraction(n // g)))
-            for (m, _), n in zip(self.terms, nums)))
+        return Polynomial(self.ring, [(m, n // g)
+                                      for (m, _), n in zip(self.raw, nums)])
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"
@@ -492,33 +579,53 @@ def divide_with_remainder(p: Polynomial, divisors, order: MonomialOrder | None =
     divisible by any divisor's leading term.  Divisors are tried in list
     order, which makes the result deterministic."""
     divisors = list(divisors)
-    for d in divisors:
-        if d.ring != p.ring:
-            raise RingMismatch("divisor from a different ring")
-        if d.is_zero():
-            raise ZeroDivisorPolynomial("zero polynomial in divisor list")
-    if order is not None and order != p.ring.order:
-        ring = p.ring.with_order(order)
-        qs, r = divide_with_remainder(p.map_to(ring), [d.map_to(ring) for d in divisors])
-        back = p.ring
-        return [q.map_to(back) for q in qs], r.map_to(back)
-
     ring = p.ring
-    quotients = [ring.zero] * len(divisors)
-    remainder = {}
-    work = p
-    zero = ring.field.zero
-    lead = [(d.LM, d.LC) for d in divisors]
-    while work.terms:
-        m, c = work.terms[0]
-        for i, (dm, dc) in enumerate(lead):
-            q = monomial_div(m, dm)
-            if q is not None:
-                coeff = c / dc
-                quotients[i] = quotients[i] + ring.term(q, coeff)
-                work = work - divisors[i].mul_term(q, coeff)
-                break
+    for d in divisors:
+        if d.ring != ring:
+            raise RingMismatch("divisor from a different ring")
+        if not d.raw:
+            raise ZeroDivisorPolynomial("zero polynomial in divisor list")
+    if order is not None and order != ring.order:
+        work_ring = ring.with_order(order)
+        qs, r = divide_with_remainder(p.map_to(work_ring),
+                                      [d.map_to(work_ring) for d in divisors])
+        return [q.map_to(ring) for q in qs], r.map_to(ring)
+
+    char = ring.field.characteristic
+    key = ring.order.desc_key
+    leads = [d.raw[0][0] for d in divisors]
+    tails = [None] * len(divisors)  # (1/LC, tail terms), on first use
+    quotients = [[] for _ in divisors]
+    remainder = []
+    work = dict(p.raw)
+    # p's terms are descending, so their keys are ascending: a valid heap
+    heap = [(key(m), m) for m in work]
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue  # cancelled after it was pushed
+        for i, lm in enumerate(leads):
+            if not all(map(le, lm, m)):
+                continue
+            q = tuple(map(sub, m, lm))
+            if tails[i] is None:
+                raw = divisors[i].raw
+                tails[i] = (_inverse(raw[0][1], char), raw[1:])
+            inv, tail = tails[i]
+            if inv != 1:
+                c = c * inv % char if char else _rational(c * inv)
+            quotients[i].append((q, c))
+            for tm, tc in tail:
+                mm = tuple(map(add, q, tm))
+                old = work.get(mm)
+                v = -c * tc if old is None else old - c * tc
+                work[mm] = v % char if char else _rational(v)
+                if old is None:
+                    heappush(heap, (key(mm), mm))
+            break
         else:
-            remainder[m] = remainder.get(m, zero) + c
-            work = Polynomial(ring, work.terms[1:])
-    return quotients, ring.from_dict(remainder)
+            remainder.append((m, c))
+    zero = ring.zero  # shared by the divisors that were never used
+    return ([Polynomial(ring, q) if q else zero for q in quotients],
+            Polynomial(ring, remainder))

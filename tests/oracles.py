@@ -3,7 +3,10 @@
 Nothing here goes through the package's Groebner machinery: comparisons
 come from the textbook definitions, memberships from explicit
 certificates or re-expansion, and syzygy completeness from a dense
-degree-by-degree linear solve over the rationals.
+degree-by-degree linear solve over the rationals.  The division
+reference works on dicts of ``FieldElement`` coefficients and finds
+leading terms with the order's ascending ``key``, so it shares neither
+the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
 """
 from fractions import Fraction
 from itertools import product
@@ -56,6 +59,71 @@ def substitute(p: Polynomial, target: PolyRing, images: dict) -> Polynomial:
                 term = term * images[name] ** e
         result = result + term
     return result
+
+
+def _leading(work, order):
+    return max(work, key=order.key)
+
+
+def _sorted_terms(d, order):
+    """(monomial, FieldElement) pairs of a coefficient dict, largest first."""
+    return tuple(sorted(((m, c) for m, c in d.items() if not c.is_zero()),
+                        key=lambda t: order.key(t[0]), reverse=True))
+
+
+def reference_divide(p, divisors, order=None):
+    """Naive multivariate division, the textbook loop: take the leading
+    term of what is left, subtract a multiple of the first divisor whose
+    leading monomial divides it, else move it to the remainder.  Leading
+    terms are taken under ``order`` (default: the ring's).  Returns the
+    quotients and the remainder as term tuples in the ring's order, the
+    shape of ``Polynomial.terms``."""
+    order = order or p.ring.order
+    ring_order = p.ring.order
+    field = p.ring.field
+    divs = []
+    for d in divisors:
+        dd = dict(d.terms)
+        lm = _leading(dd, order)
+        divs.append((lm, dd[lm], dd))
+    quotients = [{} for _ in divs]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        m = _leading(work, order)
+        c = work[m]
+        for i, (lm, lc, dd) in enumerate(divs):
+            if all(a <= b for a, b in zip(lm, m)):
+                q = tuple(a - b for a, b in zip(m, lm))
+                coeff = c / lc
+                quotients[i][q] = quotients[i].get(q, field.zero) + coeff
+                for dm, dc in dd.items():
+                    mm = tuple(a + b for a, b in zip(q, dm))
+                    work[mm] = work.get(mm, field.zero) - coeff * dc
+                    if work[mm].is_zero():
+                        del work[mm]
+                break
+        else:
+            remainder[m] = remainder.get(m, field.zero) + c
+            del work[m]
+    return ([_sorted_terms(q, ring_order) for q in quotients],
+            _sorted_terms(remainder, ring_order))
+
+
+def reference_spoly(f, g):
+    """lcm/LT(f) * f / LC(f) - lcm/LT(g) * g / LC(g), as term tuples."""
+    order = f.ring.order
+    field = f.ring.field
+    fd, gd = dict(f.terms), dict(g.terms)
+    fm, gm = _leading(fd, order), _leading(gd, order)
+    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
+    out = {}
+    for dd, lm, sign in ((fd, fm, 1), (gd, gm, -1)):
+        scale = dd[lm].inverse() * sign
+        for m, c in dd.items():
+            mm = tuple(a + b - e for a, b, e in zip(m, lcm, lm))
+            out[mm] = out.get(mm, field.zero) + c * scale
+    return _sorted_terms(out, order)
 
 
 def solve_linear(rows, rhs):

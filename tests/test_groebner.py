@@ -18,6 +18,7 @@ from closurekit import (
     syzygies,
 )
 from closurekit.errors import NotAMember, UnknownVariable
+from closurekit.groebner import lift_all
 from conftest import P
 from oracles import brute_force_syzygies, in_module_span, substitute
 
@@ -170,6 +171,26 @@ def test_lift_rejects_non_member(ring_xy):
     with pytest.raises(NotAMember):
         lift(ring_xy.var("x"), [P(ring_xy, "x^2"), P(ring_xy, "y")],
              Ideal(ring_xy, []))
+
+
+def test_lift_all_matches_lift(ring_xy):
+    # one tagged basis for several targets: members get the same lifts as
+    # one at a time, a non-member gets None, no target runs nothing
+    gens = [P(ring_xy, "x^2"), P(ring_xy, "y")]
+    ambient = Ideal(ring_xy, [P(ring_xy, "y^2 - x^3")])
+    targets = [P(ring_xy, "x^3 + y^2"), ring_xy.var("x"), ring_xy.zero,
+               P(ring_xy, "x^2*y - 3*y")]
+    out = lift_all(targets, gens, ambient)
+    for target, coeffs in zip(targets, out):
+        if coeffs is None:
+            with pytest.raises(NotAMember):
+                lift(target, gens, ambient)
+        else:
+            assert coeffs == lift(target, gens, ambient)
+            combo = sum((c * g for c, g in zip(coeffs, gens)), ring_xy.zero)
+            assert ideal_member(target - combo, ambient)
+    assert [c is None for c in out] == [False, True, False, False]
+    assert lift_all([], gens, ambient) == []
 
 
 def test_eliminate_parabola(ring_xyz):

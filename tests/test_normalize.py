@@ -284,3 +284,34 @@ def test_normalize_idempotent_on_output(ring_xy):
     assert len(again.components) == 1
     assert (again.components[0].presentation.defining.groebner_basis()
             == comp.presentation.defining.groebner_basis())
+
+
+def test_one_tagged_basis_for_all_structure_constant_lifts(monkeypatch):
+    # y^3 = x^4 adjoins 1, then 2 variables; with t = 2 the three products
+    # T_i*T_j must be lifted against one tagged basis, not one each
+    import importlib
+
+    groebner = importlib.import_module("closurekit.groebner")
+    normalize_module = importlib.import_module("closurekit.normalize")
+    runs = []
+    per_call = []
+    original_run = groebner._tagged_run
+    original_endo = normalize_module.endomorphism_ring
+
+    def counting_run(*args):
+        runs.append(1)
+        return original_run(*args)
+
+    def counting_endo(*args):
+        before = len(runs)
+        endo = original_endo(*args)
+        per_call.append((endo.t, len(runs) - before))
+        return endo
+
+    monkeypatch.setattr(groebner, "_tagged_run", counting_run)
+    monkeypatch.setattr(normalize_module, "endomorphism_ring", counting_endo)
+    ring = PolyRing(QQ, ["x", "y"])
+    res = normalize(presentation(ring, [P(ring, "y^3 - x^4")]))
+    assert res.hom_steps() == 2
+    # one run for the syzygies, one for all lifts
+    assert per_call == [(1, 2), (2, 2)]
