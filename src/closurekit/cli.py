@@ -1,9 +1,9 @@
 """Command-line driver: parse, normalize, verify, and emit results.
 
-Exit codes: 0 success, 2 parse error, 3 algorithm error (iteration limit,
-radical strategy failure, unsupported characteristic), 4 verification or
---check failure.  Diagnostics go to stderr; with --json nothing but the
-result document ever reaches stdout.
+Exit codes: 0 success, 2 parse or usage error (such as --max-iter 0),
+3 algorithm error (iteration limit, radical strategy failure, unsupported
+characteristic), 4 verification or --check failure.  Diagnostics go to
+stderr; with --json nothing but the result document ever reaches stdout.
 """
 from __future__ import annotations
 
@@ -115,11 +115,14 @@ def run_cli(argv) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.max_iter < 1:
+            norm.error(f"argument --max-iter: must be at least 1, got {args.max_iter}")
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
 
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

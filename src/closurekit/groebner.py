@@ -352,10 +352,7 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
     drop_ix = {ring.index(name) for name in drop}
     order = elimination_order(ring.nvars, drop_ix)
     basis = ideal.groebner_basis(order)
-    kept = [g for g in basis if not (g.variables_used() & drop_ix)]
-    out = Ideal(ring, kept)
-    out.groebner_basis()
-    return out
+    return Ideal(ring, [g for g in basis if not (g.variables_used() & drop_ix)])
 
 
 def dimension(ideal: Ideal) -> int:

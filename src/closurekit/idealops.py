@@ -84,9 +84,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     gens = [t * g.map_to(ext) for g in I.generators]
     gens += [(ext.one - t) * g.map_to(ext) for g in J.generators]
     elim = eliminate(Ideal(ext, gens), {name})
-    out = Ideal(ring, _back_to(ring, elim.groebner_basis()))
-    out.groebner_basis()
-    return out
+    return Ideal(ring, _back_to(ring, elim.groebner_basis()))
 
 
 def _quotient_by_element(I: Ideal, f: Polynomial) -> Ideal:
@@ -99,9 +97,7 @@ def _quotient_by_element(I: Ideal, f: Polynomial) -> Ideal:
         if r:
             raise AssertionError("intersection member not divisible by f")
         gens.append(qs[0])
-    out = Ideal(ring, gens)
-    out.groebner_basis()
-    return out
+    return Ideal(ring, gens)
 
 
 def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
@@ -110,7 +106,6 @@ def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
         raise RingMismatch("quotient arguments live in different rings")
     ring = ctx.ring
     ambient = Ideal(ring, list(I.generators) + list(ctx.defining.generators))
-    ambient.groebner_basis()
     parts = []
     for f in J.generators:
         f = ctx.nf(f)
@@ -128,9 +123,7 @@ def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
         r = ctx.nf(g)
         if r and r not in gens:
             gens.append(r)
-    out = Ideal(ring, gens)
-    out.groebner_basis()
-    return out
+    return Ideal(ring, gens)
 
 
 def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
@@ -148,9 +141,7 @@ def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
         r = ctx.nf(g)
         if r and r not in gens:
             gens.append(r)
-    out = Ideal(ctx.ring, gens)
-    out.groebner_basis()
-    return out
+    return Ideal(ctx.ring, gens)
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:
@@ -166,9 +157,7 @@ def saturation(I: Ideal, f: Polynomial) -> Ideal:
     gens = [g.map_to(ext) for g in I.generators]
     gens.append(ext.one - t * f.map_to(ext))
     elim = eliminate(Ideal(ext, gens), {name})
-    out = Ideal(ring, _back_to(ring, elim.groebner_basis()))
-    out.groebner_basis()
-    return out
+    return Ideal(ring, _back_to(ring, elim.groebner_basis()))
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
@@ -276,6 +265,9 @@ def _squarefree_part_pseudo(g: Polynomial, i: int, char: int):
 
 # -- radical ----------------------------------------------------------------
 
+_RADICAL_MAX_DEPTH = 16
+
+
 def _certify_radical(original: Ideal, candidate: Ideal):
     for g in original.generators:
         if not normal_form(g, candidate).is_zero():
@@ -316,9 +308,9 @@ def _dep_leading_data(g: Polynomial, dep: tuple, block: Block):
     return ring.from_raw(d)
 
 
-def _radical_general(I: Ideal, char: int, depth: int, max_depth: int) -> Ideal:
-    if depth > max_depth:
-        raise StrategyFailed(f"radical recursion exceeded depth {max_depth}")
+def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
+    if depth > _RADICAL_MAX_DEPTH:
+        raise StrategyFailed(f"radical recursion exceeded depth {_RADICAL_MAX_DEPTH}")
     ring = I.ring
     if I.contains_one():
         return Ideal(ring, [ring.one])
@@ -370,15 +362,16 @@ def _radical_general(I: Ideal, char: int, depth: int, max_depth: int) -> Ideal:
     for h in factors:
         h_total = h_total * h
     rest = _radical_general(
-        Ideal(ring, list(I.generators) + [h_total]), char, depth + 1, max_depth)
+        Ideal(ring, list(I.generators) + [h_total]), char, depth + 1)
     if rest.contains_one():
         return contracted
     return intersect(contracted, rest)
 
 
-def radical(I: Ideal, strategy: str = "auto", max_depth: int = 16) -> Ideal:
+def radical(I: Ideal, strategy: str = "auto") -> Ideal:
     """Generators of sqrt(I); the output is certified (containment plus
-    radical membership of every generator) before being returned."""
+    radical membership of every generator) before being returned.  "auto"
+    is "general", which sends dimension zero on to "zerodim"."""
     ring = I.ring
     char = ring.field.characteristic
     if I.is_zero():
@@ -389,13 +382,8 @@ def radical(I: Ideal, strategy: str = "auto", max_depth: int = 16) -> Ideal:
         raise ValueError(f"unknown radical strategy {strategy!r}")
     if strategy == "zerodim":
         out = _radical_zerodim(I, char)
-    elif strategy == "general":
-        out = _radical_general(I, char, 0, max_depth)
     else:
-        if dimension(I) == 0:
-            out = _radical_zerodim(I, char)
-        else:
-            out = _radical_general(I, char, 0, max_depth)
+        out = _radical_general(I, char, 0)
     _certify_radical(I, out)
     return out
 
@@ -454,6 +442,4 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
         else:
             continue
         break
-    out = Ideal(ring, gens + minors)
-    out.groebner_basis()
-    return out
+    return Ideal(ring, gens + minors)

@@ -9,6 +9,9 @@ variables tied down by their syzygies (linear relations) and by structure
 constants for pairwise products (monic quadratic relations).  No fresh
 numerator means the ring equals its endomorphism ring and is normal.
 
+``_step`` runs these moves once on one ring; ``normalize`` repeats it per
+component, and ``verify_result`` reruns it on each output component.
+
 Termination is a finiteness fact about the integral closure as a module;
 the iteration cap only guards against misuse.
 """
@@ -225,7 +228,6 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal, f: Polynomial) -> EndoPre
     f_times_I = Ideal(ring, [ctx.nf(f * g) for g in I.generators])
     numerator_ideal = ideal_quotient(f_times_I, I, ctx)
     modulus = Ideal(ring, [f] + list(ctx.defining.generators))
-    modulus.groebner_basis()
     numerators = [f]
     for g in numerator_ideal.generators:
         r = normal_form(g, modulus)
@@ -308,6 +310,22 @@ def _split_component(comp: Component, decision: SplitDecision, next_index):
     return children
 
 
+def _step(R: AffinePresentation, radical_strategy: str = "auto", events=None):
+    """One loop step on R, returned as (kind, payload): "unit-test-ideal"
+    or "hom-equal" (R is normal, payload None), "split" (payload the
+    SplitDecision) or "extend" (payload the EndoPresentation)."""
+    test = choose_test_ideal(R, radical_strategy, events)
+    if test.contains_one():
+        return "unit-test-ideal", None
+    decision = pick_nzd_or_split(R, test)
+    if decision.is_split:
+        return "split", decision
+    endo = endomorphism_ring(R, test, decision.f)
+    if is_fixed_point(endo):
+        return "hom-equal", None
+    return "extend", endo
+
+
 def normalize(R0: AffinePresentation, max_iterations: int = 32,
               radical_strategy: str = "auto") -> NormalizationResult:
     """Run the full loop over a work-list of components."""
@@ -318,38 +336,28 @@ def normalize(R0: AffinePresentation, max_iterations: int = 32,
 
     while worklist:
         comp = worklist.popleft()
-        done = False
         for _ in range(max_iterations):
             events: list = []
-            test = choose_test_ideal(comp.presentation, radical_strategy, events)
-            for kind, ideal in events:
-                trace.append(f"{kind} component={comp.index} ideal={_ideal_text(ideal)}")
-            if test.contains_one():
-                trace.append(f"FixedPoint component={comp.index} reason=unit-test-ideal")
-                finished.append(comp)
-                done = True
-                break
-            decision = pick_nzd_or_split(comp.presentation, test)
-            if decision.is_split:
-                children = _split_component(comp, decision, lambda: next(counter))
+            kind, payload = _step(comp.presentation, radical_strategy, events)
+            for name, ideal in events:
+                trace.append(f"{name} component={comp.index} ideal={_ideal_text(ideal)}")
+            if kind == "split":
+                children = _split_component(comp, payload, lambda: next(counter))
                 trace.append(
-                    f"Split component={comp.index} f={decision.f.input_form()} "
+                    f"Split component={comp.index} f={payload.f.input_form()} "
                     f"children={children[0].index},{children[1].index}")
                 worklist.extend(children)
-                done = True
                 break
-            endo = endomorphism_ring(comp.presentation, test, decision.f)
-            if is_fixed_point(endo):
-                trace.append(f"FixedPoint component={comp.index} reason=hom-equal")
+            if kind != "extend":
+                trace.append(f"FixedPoint component={comp.index} reason={kind}")
                 finished.append(comp)
-                done = True
                 break
-            comp.presentation = extend_ring(comp.presentation, endo)
+            comp.presentation = extend_ring(comp.presentation, payload)
             comp.iterations += 1
             trace.append(
-                f"HomStep component={comp.index} f={endo.denominator.input_form()} "
-                f"adjoined={endo.t}")
-        if not done:
+                f"HomStep component={comp.index} f={payload.denominator.input_form()} "
+                f"adjoined={payload.t}")
+        else:
             raise IterationLimitExceeded(
                 f"component {comp.index} did not stabilize in "
                 f"{max_iterations} iterations", trace)
@@ -374,7 +382,8 @@ def _require(condition: bool, message: str):
 def verify_result(R0: AffinePresentation, result: NormalizationResult) -> VerificationReport:
     """Independent certification of a normalization result.
 
-    (a) every component is a fixed point when rechecked from scratch;
+    (a) one fresh loop step finds every component normal: its test
+        ideal is the unit ideal, or J is proper and Hom(J, J) = R;
     (b) eliminating the adjoined variables recovers, across all
         components together, exactly the radical of the input ideal;
     (c) every adjoined variable carries a monic quadratic that still
@@ -389,16 +398,10 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         ctx = pres.ctx
 
         # (a) fresh fixed-point recheck
-        test = choose_test_ideal(pres)
-        if test.contains_one():
-            endo = endomorphism_ring(pres, Ideal(pres.ring, [pres.ring.one]),
-                                     pres.ring.one)
-        else:
-            decision = pick_nzd_or_split(pres, test)
-            _require(not decision.is_split,
-                     f"component {comp.index}: output ring still splits")
-            endo = endomorphism_ring(pres, test, decision.f)
-        _require(is_fixed_point(endo),
+        kind, _ = _step(pres)
+        _require(kind != "split",
+                 f"component {comp.index}: output ring still splits")
+        _require(kind != "extend",
                  f"component {comp.index}: endomorphism ring is strictly larger")
         report.note(f"component {comp.index}: fixed-point recheck ok")
 

@@ -6,6 +6,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 from closurekit import (
     QQ,
     Ideal,
@@ -213,3 +215,11 @@ def test_criterion_8_cli_golden_and_exit_codes():
         assert code == 3 and out == ""
         code, out = _run_json(FIXTURES / "nonradical.txt", "--check")
         assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("name", ["cusp", "node", "umbrella", "a4", "conic", "zero"])
+def test_trace_golden(name):
+    # the trace lines are output too: pin them byte for byte
+    code, out = _run_json(FIXTURES / f"{name}.txt", "--trace")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.trace.json").read_text()

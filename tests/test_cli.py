@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,28 @@ def test_iteration_limit_exit_code(cusp_file, capsys):
     assert code == 3
     assert out == ""
     assert "iteration" in err.lower() or "stabilize" in err.lower()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_iter_below_one_is_usage_error(cusp_file, capsys, value):
+    code, out, err = run(capsys, ["normalize", cusp_file, "--max-iter", value,
+                                  "--json"])
+    assert code == 2
+    assert out == ""
+    assert "--max-iter" in err and "at least 1" in err
+
+
+def test_input_file_closed(cusp_file):
+    # -X dev turns on ResourceWarning; an unclosed FILE would print one
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "closurekit", "normalize", cusp_file, "--json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["schema"] == "closure-kit/1"
 
 
 def test_check_rejects_non_radical(tmp_path, capsys):

@@ -22,7 +22,7 @@ from closurekit.errors import (
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from closurekit.normalize import AffinePresentation, NormalizationResult
+from closurekit.normalize import AffinePresentation, Component, NormalizationResult
 from closurekit.idealops import QuotientRingContext
 from conftest import P
 from oracles import substitute
@@ -315,3 +315,77 @@ def test_one_tagged_basis_for_all_structure_constant_lifts(monkeypatch):
     assert res.hom_steps() == 2
     # one run for the syzygies, one for all lifts
     assert per_call == [(1, 2), (2, 2)]
+
+
+def test_step_kinds(ring_xy, ring_xyz):
+    from closurekit.normalize import EndoPresentation, SplitDecision, _step
+
+    conic = presentation(ring_xy, [P(ring_xy, "x^2 + y^2 - 1")])
+    assert _step(conic) == ("unit-test-ideal", None)
+    kind, decision = _step(node(ring_xy))
+    assert kind == "split" and isinstance(decision, SplitDecision)
+    kind, endo = _step(cusp(ring_xy))
+    assert kind == "extend" and isinstance(endo, EndoPresentation)
+    assert endo.t == 1
+    # the A1 cone is normal but singular: its test ideal is proper
+    cone = presentation(ring_xyz, [P(ring_xyz, "x*y - z^2")])
+    assert _step(cone) == ("hom-equal", None)
+
+
+def _unnormalized(pres):
+    """The input itself handed to verify_result as the output."""
+    return NormalizationResult([Component(pres, 0, 0)], [])
+
+
+def test_verify_rejects_unnormalized_cusp(ring_xy):
+    pres = cusp(ring_xy)
+    with pytest.raises(VerificationFailed,
+                       match="component 0: endomorphism ring is strictly larger"):
+        verify_result(pres, _unnormalized(pres))
+
+
+def test_verify_rejects_unsplit_node(ring_xy):
+    pres = node(ring_xy)
+    with pytest.raises(VerificationFailed,
+                       match="component 0: output ring still splits"):
+        verify_result(pres, _unnormalized(pres))
+
+
+def test_verify_normal_cone_accepted(ring_xyz):
+    pres = presentation(ring_xyz, [P(ring_xyz, "x*y - z^2")])
+    res = normalize(pres)
+    assert res.trace[-1] == "FixedPoint component=0 reason=hom-equal"
+    report = verify_result(pres, res)
+    assert "component 0: fixed-point recheck ok" in report.checks
+
+
+def _count_endomorphism_calls(monkeypatch):
+    import importlib
+
+    normalize_module = importlib.import_module("closurekit.normalize")
+    calls = []
+    original = normalize_module.endomorphism_ring
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(normalize_module, "endomorphism_ring", counting)
+    return calls
+
+
+def test_verify_unit_test_ideal_needs_no_endomorphism_ring(ring_xy, monkeypatch):
+    # Hom_A(A, A) = A: a unit test ideal certifies the component by itself
+    pres = presentation(ring_xy, [P(ring_xy, "x^2 + y^2 - 1")])
+    res = normalize(pres)
+    calls = _count_endomorphism_calls(monkeypatch)
+    verify_result(pres, res)
+    assert calls == []
+
+
+def test_verify_proper_test_ideal_runs_one_endomorphism_ring(ring_xyz, monkeypatch):
+    pres = presentation(ring_xyz, [P(ring_xyz, "x*y - z^2")])
+    res = normalize(pres)
+    calls = _count_endomorphism_calls(monkeypatch)
+    verify_result(pres, res)
+    assert calls == [1]
