@@ -1,6 +1,10 @@
 """Ideal-theoretic operations: quotient, annihilator, saturation,
 intersection, radical membership, radicals, and the Jacobian test ideal.
 
+Colon ideals are syzygy reads: the entries a of the syzygies a*f ∈ I,
+from one tagged run of the engine, generate I : f.  ``intersect`` and
+``saturation`` stay on elimination of one adjoined variable.
+
 The radical follows a two-strategy plan.  Zero-dimensional ideals use
 squarefree parts of univariate eliminants (one per variable); adjoining
 those parts makes the ideal radical.  Positive-dimensional ideals reduce
@@ -23,7 +27,7 @@ from .errors import (
     UnsupportedCharacteristic,
     ZeroPolynomial,
 )
-from .groebner import Ideal, dimension, eliminate, independent_sets, normal_form
+from .groebner import Ideal, dimension, eliminate, independent_sets, normal_form, syzygies
 from .ring import (
     Block,
     DEGREVLEX,
@@ -52,6 +56,15 @@ class QuotientRingContext:
 
     def is_zero(self, p: Polynomial) -> bool:
         return self.nf(p).is_zero()
+
+    def reduce_all(self, polys) -> list:
+        """Normal forms of ``polys`` modulo D, zeros and repeats dropped."""
+        out = []
+        for p in polys:
+            r = self.nf(p)
+            if r and r not in out:
+                out.append(r)
+        return out
 
     def __repr__(self):
         return f"{self.ring!r} / {self.defining!r}"
@@ -88,16 +101,9 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _quotient_by_element(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f) for a single nonzero f, via intersection and exact division."""
-    ring = I.ring
-    inter = intersect(I, Ideal(ring, [f]))
-    gens = []
-    for g in inter.generators:
-        qs, r = divide_with_remainder(g, [f])
-        if r:
-            raise AssertionError("intersection member not divisible by f")
-        gens.append(qs[0])
-    return Ideal(ring, gens)
+    """(I : f) for a single element f: the entries a of the syzygies
+    a*f in I, read off one tagged run of the engine."""
+    return Ideal(I.ring, [a for (a,) in syzygies([f], I)])
 
 
 def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
@@ -118,30 +124,16 @@ def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
     total = parts[0]
     for part in parts[1:]:
         total = intersect(total, part)
-    gens = []
-    for g in total.groebner_basis():
-        r = ctx.nf(g)
-        if r and r not in gens:
-            gens.append(r)
-    return Ideal(ring, gens)
+    return Ideal(ring, ctx.reduce_all(total.groebner_basis()))
 
 
 def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
-    """(0 : f) in ring/D, i.e. (D : f) reduced modulo D."""
+    """(0 : f) in ring/D, i.e. (D : f) reduced modulo D, read off the
+    syzygies of f modulo D (f = 0 has the syzygy 1)."""
     if f.ring != ctx.ring:
         raise RingMismatch("element lives in a different ring")
-    f = ctx.nf(f)
-    if f.is_zero():
-        return Ideal(ctx.ring, [ctx.ring.one])
-    if ctx.defining.is_zero():
-        return Ideal(ctx.ring, [])
-    quo = _quotient_by_element(ctx.defining, f)
-    gens = []
-    for g in quo.groebner_basis():
-        r = ctx.nf(g)
-        if r and r not in gens:
-            gens.append(r)
-    return Ideal(ctx.ring, gens)
+    quo = _quotient_by_element(ctx.defining, ctx.nf(f))
+    return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:

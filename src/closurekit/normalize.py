@@ -158,11 +158,7 @@ def _candidates(R: AffinePresentation, I: Ideal):
     """Deterministic scan list: reduced generators first, then a few
     seeded small-integer combinations of them."""
     ctx = R.ctx
-    gens = []
-    for g in I.groebner_basis():
-        r = ctx.nf(g)
-        if r and r not in gens:
-            gens.append(r)
+    gens = ctx.reduce_all(I.groebner_basis())
     out = list(gens)
     if len(gens) >= 2:
         rng = random.Random(COMBO_SEED)
@@ -436,14 +432,13 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
             checked.add((adj.level, adj.denominator))
             higher = {a.name for a in pres.adjoined if a.level >= adj.level}
             level_ideal = eliminate(pres.defining, higher)
-            lower_vars = [v for v in pres.ring.variables if v not in higher]
-            level_ring = PolyRing(pres.ring.field, lower_vars, pres.ring.order)
+            # the denominator lives in the ring of the level it was taken at
+            level_ring = adj.denominator.ring
             level_ctx = QuotientRingContext(
                 level_ring,
                 Ideal(level_ring, [g.map_to(level_ring)
                                    for g in level_ideal.groebner_basis()]))
-            den = adj.denominator.map_to(level_ring)
-            _require(annihilator(den, level_ctx).is_zero(),
+            _require(annihilator(adj.denominator, level_ctx).is_zero(),
                      f"{adj.name}: tower denominator is a zerodivisor at its level")
         report.note(f"component {comp.index}: denominator certificates ok")
 

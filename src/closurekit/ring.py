@@ -138,6 +138,11 @@ class Block(MonomialOrder):
     def desc_key(self, m: Monomial):
         return tuple([key(pick(m)) for pick, key in self._desc_keys])
 
+    def check_partition(self, nvars: int):
+        covered = sorted(i for ix, _ in self.blocks for i in ix)
+        if covered != list(range(nvars)):
+            raise LengthMismatch("block order does not partition the variables")
+
 
 LEX = Lex()
 DEGREVLEX = DegRevLex()
@@ -150,9 +155,7 @@ def compare_monomials(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
     if len(m1) != len(m2):
         raise LengthMismatch(f"exponent vectors of lengths {len(m1)} and {len(m2)}")
     if isinstance(order, Block):
-        covered = sorted(i for ix, _ in order.blocks for i in ix)
-        if covered != list(range(len(m1))):
-            raise LengthMismatch("block order does not partition the variables")
+        order.check_partition(len(m1))
     k1, k2 = order.key(m1), order.key(m2)
     if k1 < k2:
         return -1
@@ -175,6 +178,8 @@ class PolyRing:
         variables = tuple(variables)
         if len(set(variables)) != len(variables) or not all(variables):
             raise UnknownVariable("variable names must be unique and nonempty")
+        if isinstance(order, Block):
+            order.check_partition(len(variables))
         self.field = field
         self.variables = variables
         self.order = order
@@ -236,9 +241,13 @@ class PolyRing:
             return self
         return PolyRing(self.field, self.variables, order)
 
-    def extend(self, new_names, order: MonomialOrder | None = None) -> "PolyRing":
-        return PolyRing(self.field, self.variables + tuple(new_names),
-                        order or self.order)
+    def extend(self, new_names) -> "PolyRing":
+        """Ring with ``new_names`` appended; a block order gets one more
+        degrevlex block for them, other orders cover them as they are."""
+        order, n = self.order, self.nvars
+        if isinstance(order, Block):
+            order = Block(*order.blocks, (range(n, n + len(new_names)), DEGREVLEX))
+        return PolyRing(self.field, self.variables + tuple(new_names), order)
 
     def __eq__(self, other):
         return other is self or (

@@ -7,11 +7,14 @@ degree-by-degree linear solve over the rationals.  The division
 reference works on dicts of ``FieldElement`` coefficients and finds
 leading terms with the order's ascending ``key``, so it shares neither
 the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
+The one exception is ``reference_quotient``: it takes colon ideals by
+elimination and exact division, a second route through the package's
+ideal bases, against which the syzygy-based colon ideals are checked.
 """
 from fractions import Fraction
 from itertools import product
 
-from closurekit import Polynomial, PolyRing
+from closurekit import Ideal, Polynomial, PolyRing, divide_with_remainder, intersect
 
 
 def degrevlex_cmp(m1, m2):
@@ -268,3 +271,15 @@ def in_module_span(vector, generators, ambient_gens, degree):
     rows = [[columns[j][i] for j in range(len(columns))]
             for i in range(nrows)]
     return solve_linear(rows, rhs) is not None
+
+
+def reference_quotient(I, f):
+    """(I : f) for nonzero f by the t-trick: I ∩ (f), with every
+    generator divided exactly by f."""
+    gens = []
+    for g in intersect(I, Ideal(I.ring, [f])).generators:
+        qs, r = divide_with_remainder(g, [f])
+        if r:
+            raise AssertionError("intersection member not divisible by f")
+        gens.append(qs[0])
+    return Ideal(I.ring, gens)

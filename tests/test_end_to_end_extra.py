@@ -4,8 +4,10 @@ and the lex order pipeline."""
 import json
 
 from closurekit import (
+    DEGREVLEX,
     GF,
     LEX,
+    Block,
     QQ,
     PolyRing,
     ideal_member,
@@ -47,6 +49,17 @@ def test_lex_order_pipeline():
     result = normalize(pres)
     assert len(result.components) == 1
     assert result.hom_steps() == 1
+    verify_result(pres, result)
+
+
+def test_block_order_pipeline():
+    # the adjoined variables need a place in the block order, or monomials
+    # that differ only in them tie and the loop never finishes
+    R = PolyRing(QQ, ["x", "y"], Block(((0,), LEX), ((1,), DEGREVLEX)))
+    pres = presentation(R, [parse_polynomial("y^3 - x^4", R)])
+    result = normalize(pres)
+    assert len(result.components) == 1
+    assert result.hom_steps() == 2
     verify_result(pres, result)
 
 

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from closurekit import (
+    DEGREVLEX,
     GF,
+    LEX,
     QQ,
     Ideal,
     PolyRing,
@@ -24,7 +26,7 @@ from closurekit.errors import (
     ZeroPolynomial,
 )
 from conftest import P
-from oracles import monomials_up_to
+from oracles import monomials_up_to, reference_quotient
 
 
 def ctx_for(ring, gens):
@@ -121,6 +123,76 @@ def test_annihilator_duality_random(ring_xy):
         ann = annihilator(f, ctx)
         for a in ann.generators:
             assert ctx.is_zero(f * a)
+
+
+def _with_defining(I, ctx):
+    return Ideal(ctx.ring, list(I.generators) + list(ctx.defining.generators))
+
+
+def _check_against_reference(ctx, I, f):
+    """annihilator(f) and ideal_quotient(I, (f)) against the t-trick
+    quotient, both taken with D added back."""
+    D = ctx.defining
+    ann = annihilator(f, ctx)
+    assert ideals_equal(_with_defining(ann, ctx), reference_quotient(D, f))
+    quo = ideal_quotient(I, Ideal(ctx.ring, [f]), ctx)
+    assert ideals_equal(_with_defining(quo, ctx),
+                        reference_quotient(_with_defining(I, ctx), f))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX], ids=["lex", "degrevlex"])
+def test_colon_ideals_match_reference_quotient(field, order):
+    R = PolyRing(field, ["x", "y", "z"], order)
+    rng = random.Random(7310)
+    monos = monomials_up_to(3, 2)
+
+    def rand_poly():
+        d = {}
+        for _ in range(rng.randint(1, 3)):
+            d[rng.choice(monos)] = field.element(rng.choice((1, -1, 2, -3)))
+        return R.from_dict(d)
+
+    checked = 0
+    for _ in range(12):
+        g1, g2, g3 = rand_poly(), rand_poly(), rand_poly()
+        # a reducible D, so that g1 and g2 tend to be zerodivisors
+        gens = [g1 * g2] + ([g1 * g3] if rng.random() < 0.5 else [])
+        if not all(gens) or Ideal(R, gens).contains_one():
+            continue
+        ctx = QuotientRingContext(R, Ideal(R, gens))
+        I = Ideal(R, [rand_poly(), rand_poly()])
+        for f in (g1, g2, rand_poly() * g2):
+            if f and not ctx.is_zero(f):
+                _check_against_reference(ctx, I, f)
+                checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX], ids=["lex", "degrevlex"])
+def test_colon_ideal_edge_cases(field, order):
+    R = PolyRing(field, ["x", "y"], order)
+    x, y = R.gens()
+    reduced = QuotientRingContext(R, Ideal(R, [x * y * (x - y)]))
+    zero = QuotientRingContext(R, Ideal(R, []))
+    I = Ideal(R, [x * x, y * y * y])
+    # f already in I + D: the quotient is the unit ideal
+    assert ideal_quotient(I, Ideal(R, [x * x * y]), reduced).contains_one()
+    assert reference_quotient(_with_defining(I, reduced), x * x * y).contains_one()
+    # f a unit: I : 1 = I, and a unit annihilates nothing
+    _check_against_reference(reduced, I, R.one)
+    assert annihilator(R.one, reduced).is_zero()
+    # f zero modulo D: everything annihilates it
+    assert annihilator(x * y * (x - y), reduced).contains_one()
+    # f a zerodivisor of the reduced ring x*y*(x - y) = 0
+    _check_against_reference(reduced, I, x)
+    assert ideals_equal(annihilator(x, reduced), Ideal(R, [y * (x - y)]))
+    _check_against_reference(reduced, I, x * (x - y))
+    # a zero ambient ideal: nothing annihilates f, and 0 : f = 0
+    _check_against_reference(zero, Ideal(R, []), x + y)
+    assert annihilator(x + y, zero).is_zero()
+    assert ideal_quotient(Ideal(R, []), Ideal(R, [x + y]), zero).is_zero()
 
 
 def test_saturation_strips_powers(ring_xy):

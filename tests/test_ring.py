@@ -51,6 +51,10 @@ def test_block_order_partition_validated():
     bad = Block(((0,), LEX), ((0, 1), DEGREVLEX))
     with pytest.raises(LengthMismatch):
         compare_monomials(bad, (1, 0), (0, 1))
+    with pytest.raises(LengthMismatch):
+        PolyRing(QQ, ["x", "y"], bad)
+    with pytest.raises(LengthMismatch):
+        PolyRing(QQ, ["x", "y", "z"], Block(((0,), LEX), ((1,), DEGREVLEX)))
 
 
 def test_block_order_eliminates():
@@ -170,6 +174,15 @@ def test_extension_migration(ring_xy):
     big = ring_xy.extend(["t"])
     there = p.map_to(big)
     assert there.map_to(ring_xy) == p
+
+
+def test_extension_orders_new_variables():
+    ring = PolyRing(QQ, ["x", "y"], Block(((0,), LEX), ((1,), DEGREVLEX)))
+    big = ring.extend(["t", "u"])
+    assert compare_monomials(big.order, (0, 0, 2, 0), (0, 0, 1, 0)) == 1
+    assert compare_monomials(big.order, (0, 0, 0, 1), (0, 0, 1, 0)) == -1
+    # the old variables still dominate as before
+    assert compare_monomials(big.order, (1, 0, 0, 0), (0, 5, 5, 5)) == 1
 
 
 def test_derivative(ring_xy):
