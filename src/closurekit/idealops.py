@@ -19,6 +19,7 @@ of those coefficients.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 
 from .errors import (
     RingMismatch,
@@ -382,22 +383,26 @@ def radical(I: Ideal, strategy: str = "auto") -> Ideal:
 
 # -- Jacobian test ideal -----------------------------------------------------
 
-def _determinant(rows):
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty determinant handled by caller")
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    total = ring.zero
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
+def _expand_last_row(ring: PolyRing, row, parent: dict, cols: tuple) -> Polynomial:
+    """The k x k minor on ``cols`` of parent's rows plus ``row``, by
+    cofactor expansion along ``row``; ``parent`` maps (k-1)-subsets of
+    columns to their nonzero minors.  All products go into one raw dict."""
+    k = len(cols)
+    d = {}
+    get = d.get
+    for p, j in enumerate(cols):
+        entry = row[j]
+        sub = parent.get(cols[:p] + cols[p + 1:])
+        if not entry or sub is None:
             continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = entry * _determinant(minor)
-        total = total - term if j % 2 else total + term
-    return total
+        odd = (k - 1 + p) % 2
+        for m1, c1 in entry.raw:
+            if odd:
+                c1 = -c1
+            for m2, c2 in sub.raw:
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
+    return ring.from_raw(d)
 
 
 def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
@@ -406,7 +411,15 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
 
     Entries and minors are reduced modulo D and deduplicated; congruent
     entries give congruent determinants, so the ideal is unchanged while
-    the generator list stays small."""
+    the generator list stays small.
+
+    Sub-minors are shared: row sets are walked depth first in lex order,
+    and each row prefix of length k < c holds one table of its k x k
+    minors for all column sets, expanded from its parent's table along
+    the newest row and reduced modulo D.  A congruent sub-minor gives a
+    congruent minor, so every c x c minor has the same normal form as
+    the exact determinant.  Only the c tables on the current path are
+    alive at any time."""
     ring = ctx.ring
     gens = list(ctx.defining.generators)
     c = ring.nvars - dimension(ctx.defining)
@@ -415,23 +428,38 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     jac = [[ctx.nf(g.derivative(j)) for j in range(ring.nvars)] for g in gens]
     minors = []
     seen = set()
-    for rows in combinations(range(len(gens)), c):
-        for cols in combinations(range(ring.nvars), c):
-            det = _determinant([[jac[r][col] for col in cols] for r in rows])
-            if not det:
+
+    def walk(start: int, parent: dict, k: int) -> bool:
+        """Extend the row prefix owning ``parent`` (of length k - 1) by
+        each row from ``start`` on; True once a constant minor is found."""
+        for r in range(start, len(gens) - c + k):
+            if k < c:
+                table = {}
+                for cols in combinations(range(ring.nvars), k):
+                    det = _expand_last_row(ring, jac[r], parent, cols)
+                    if det and k > 1:
+                        det = ctx.nf(det)
+                    if det:
+                        table[cols] = det
+                if table and walk(r + 1, table, k + 1):
+                    return True
                 continue
-            if c > 1:
-                det = ctx.nf(det)
+            for cols in combinations(range(ring.nvars), c):
+                det = _expand_last_row(ring, jac[r], parent, cols)
                 if not det:
                     continue
-            key = det.monic()
-            if key in seen:
-                continue
-            seen.add(key)
-            minors.append(det)
-            if det.is_constant():
-                break
-        else:
-            continue
-        break
+                if c > 1:
+                    det = ctx.nf(det)
+                    if not det:
+                        continue
+                key = det.monic()
+                if key in seen:
+                    continue
+                seen.add(key)
+                minors.append(det)
+                if det.is_constant():
+                    return True
+        return False
+
+    walk(0, {(): ring.one}, 1)
     return Ideal(ring, gens + minors)

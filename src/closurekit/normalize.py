@@ -214,13 +214,22 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     return _split_decision(R, first_nzd, ann)
 
 
-def endomorphism_ring(R: AffinePresentation, I: Ideal, f: Polynomial) -> EndoPresentation:
-    """Hom_R(I, I) = (1/f) (fI : I) presented by numerators over f."""
+def endomorphism_ring(R: AffinePresentation, I: Ideal,
+                      f: "Polynomial | SplitDecision") -> EndoPresentation:
+    """Hom_R(I, I) = (1/f) (fI : I) presented by numerators over f.
+
+    ``f`` is a nonzerodivisor: a non-split SplitDecision, whose zero
+    annihilator was already computed, or a bare polynomial, checked here."""
     ctx = R.ctx
     ring = R.ring
-    f = ctx.nf(f)
-    if not annihilator(f, ctx).is_zero():
-        raise NotNonZeroDivisor(f"{f} has a nonzero annihilator")
+    if isinstance(f, SplitDecision):
+        if f.is_split:
+            raise NotNonZeroDivisor(f"{f.f} has a nonzero annihilator")
+        f = ctx.nf(f.f)
+    else:
+        f = ctx.nf(f)
+        if not annihilator(f, ctx).is_zero():
+            raise NotNonZeroDivisor(f"{f} has a nonzero annihilator")
     f_times_I = Ideal(ring, [ctx.nf(f * g) for g in I.generators])
     numerator_ideal = ideal_quotient(f_times_I, I, ctx)
     modulus = Ideal(ring, [f] + list(ctx.defining.generators))
@@ -316,7 +325,7 @@ def _step(R: AffinePresentation, radical_strategy: str = "auto", events=None):
     decision = pick_nzd_or_split(R, test)
     if decision.is_split:
         return "split", decision
-    endo = endomorphism_ring(R, test, decision.f)
+    endo = endomorphism_ring(R, test, decision)
     if is_fixed_point(endo):
         return "hom-equal", None
     return "extend", endo

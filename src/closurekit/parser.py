@@ -112,20 +112,19 @@ class _Parser:
         self.expect("ident", "ring")
         field = self.field()
         self.expect("punct", "[")
-        names = [self.expect("ident").text]
+        idents = [self.expect("ident")]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.advance()
-            names.append(self.expect("ident").text)
+            idents.append(self.expect("ident"))
         self.expect("punct", "]")
         self.expect("punct", ";")
         seen = set()
-        for name in names:
-            if name in seen:
-                tok = self.peek()
-                raise ParseError(f"duplicate variable {name!r}",
+        for tok in idents:
+            if tok.text in seen:
+                raise ParseError(f"duplicate variable {tok.text!r}",
                                  tok.line, tok.column, expected="unique variable")
-            seen.add(name)
-        return field, tuple(names)
+            seen.add(tok.text)
+        return field, tuple(tok.text for tok in idents)
 
     def field(self) -> Field:
         tok = self.expect("ident")

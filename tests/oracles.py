@@ -10,6 +10,8 @@ the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
 The one exception is ``reference_quotient``: it takes colon ideals by
 elimination and exact division, a second route through the package's
 ideal bases, against which the syzygy-based colon ideals are checked.
+``reference_determinant`` is plain Laplace expansion along the first
+row, with no sharing of sub-minors and no reduction along the way.
 """
 from fractions import Fraction
 from itertools import product
@@ -283,3 +285,20 @@ def reference_quotient(I, f):
             raise AssertionError("intersection member not divisible by f")
         gens.append(qs[0])
     return Ideal(I.ring, gens)
+
+
+def reference_determinant(rows):
+    """Exact determinant of a square matrix of polynomials, by Laplace
+    expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero
+    for j in range(n):
+        entry = rows[0][j]
+        if entry.is_zero():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        term = entry * reference_determinant(minor)
+        total = total - term if j % 2 else total + term
+    return total

@@ -63,6 +63,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert ":1:" in err  # line/column on stderr
 
 
+def test_duplicate_variable_location(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("ring QQ[x,x];\nideal (x);\n")
+    code, out, err = run(capsys, ["normalize", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:1:11:")
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, ["normalize", str(tmp_path / "nope.txt"), "--json"])
     assert code == 2

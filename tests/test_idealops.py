@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,11 +12,14 @@ from closurekit import (
     PolyRing,
     QuotientRingContext,
     annihilator,
+    dimension,
+    extend_ring,
     ideal_member,
     ideal_quotient,
     ideals_equal,
     intersect,
     jacobian_test_ideal,
+    presentation,
     radical,
     radical_membership,
     saturation,
@@ -25,8 +29,9 @@ from closurekit.errors import (
     UnsupportedCharacteristic,
     ZeroPolynomial,
 )
+from closurekit.normalize import _step
 from conftest import P
-from oracles import monomials_up_to, reference_quotient
+from oracles import monomials_up_to, reference_determinant, reference_quotient
 
 
 def ctx_for(ring, gens):
@@ -338,6 +343,92 @@ def test_jacobian_hypersurface_is_gradient(ring_xyz):
     jac = jacobian_test_ideal(ctx)
     expected = Ideal(ring_xyz, [f, f.derivative(0), f.derivative(1), f.derivative(2)])
     assert ideals_equal(jac, expected)
+
+
+def _reference_jacobian(ctx):
+    """The generators of jacobian_test_ideal(ctx) from exact Laplace
+    determinants, visited, reduced, deduplicated and cut off as that
+    function does, plus the set of edge cases met on the way."""
+    ring = ctx.ring
+    gens = list(ctx.defining.generators)
+    c = ring.nvars - dimension(ctx.defining)
+    jac = [[ctx.nf(g.derivative(j)) for j in range(ring.nvars)] for g in gens]
+    events = {f"c={c}"}
+    if any(not any(row[j] for row in jac) for j in range(ring.nvars)):
+        events.add("zero-column")
+    minors, seen = [], set()
+    for rows in combinations(range(len(gens)), c):
+        for cols in combinations(range(ring.nvars), c):
+            det = reference_determinant([[jac[r][j] for j in cols] for r in rows])
+            if not det:
+                continue
+            if c > 1:
+                det = ctx.nf(det)
+                if not det:
+                    events.add("vanishes-mod-D")
+                    continue
+            key = det.monic()
+            if key in seen:
+                continue
+            seen.add(key)
+            minors.append(det)
+            if det.is_constant():
+                events.add("early-stop")
+                return gens + minors, events
+    return gens + minors, events
+
+
+def _tower_levels(ring):
+    """Every level of the tower over (y + 2)^3 = (x - 1)^4 in ring."""
+    x, y = ring.gens()
+    pres = presentation(ring, [(y + 2) ** 3 - (x - 1) ** 4])
+    levels = [pres]
+    while True:
+        kind, endo = _step(pres)
+        if kind != "extend":
+            return levels
+        pres = extend_ring(pres, endo)
+        levels.append(pres)
+
+
+_JACOBIAN_CASES = {
+    # (generators in x, y, z, w, events the reference must meet)
+    "cusp-cylinder": (["y^2 - x^3"], {"c=1", "zero-column"}),
+    "axes-3": (["x*y", "x*z", "y*z"], {"c=2", "zero-column", "vanishes-mod-D"}),
+    "twisted-cubic": (["y - x^2", "z - x^3"], {"c=2", "zero-column", "early-stop"}),
+    "axes-4": (["x*y", "x*z", "x*w", "y*z", "y*w", "z*w"],
+               {"c=3", "vanishes-mod-D"}),
+    "quartic-curve": (["y - x^2", "z - x^3", "w - x^4"], {"c=3", "early-stop"}),
+}
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("case", sorted(_JACOBIAN_CASES))
+def test_jacobian_matches_laplace_reference(case, field, order):
+    texts, expected_events = _JACOBIAN_CASES[case]
+    ring = PolyRing(field, ["x", "y", "z", "w"], order)
+    ctx = ctx_for(ring, [P(ring, t) for t in texts])
+    expected, events = _reference_jacobian(ctx)
+    assert expected_events <= events
+    assert [g.raw for g in jacobian_test_ideal(ctx).generators] == \
+        [g.raw for g in expected]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_jacobian_matches_laplace_reference_on_tower(field, order):
+    levels = _tower_levels(PolyRing(field, ["x", "y"], order))
+    seen_codims = set()
+    for pres in levels:
+        expected, events = _reference_jacobian(pres.ctx)
+        seen_codims |= {e for e in events if e.startswith("c=")}
+        assert [g.raw for g in jacobian_test_ideal(pres.ctx).generators] == \
+            [g.raw for g in expected]
+    assert {"c=1", "c=2", "c=4"} <= seen_codims
+    if order is DEGREVLEX:
+        top = levels[-1].ring
+        assert (top.nvars, len(levels[-1].defining.generators)) == (5, 10)
 
 
 def test_quotient_ring_context_normal_form(ring_xy):

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from closurekit import (
@@ -26,6 +28,9 @@ from closurekit.normalize import AffinePresentation, Component, NormalizationRes
 from closurekit.idealops import QuotientRingContext
 from conftest import P
 from oracles import substitute
+
+# the package exports a function of the same name as this module
+normalize_module = importlib.import_module("closurekit.normalize")
 
 
 def cusp(ring):
@@ -136,9 +141,26 @@ def test_verify_result_vacuous_on_smooth_input(ring_xy):
 
 def test_endomorphism_rejects_zerodivisor(ring_xy):
     pres = presentation(ring_xy, [P(ring_xy, "x*y")])
+    I = Ideal(ring_xy, [ring_xy.var("x"), ring_xy.var("y")])
     with pytest.raises(NotNonZeroDivisor):
-        endomorphism_ring(pres, Ideal(ring_xy, [ring_xy.var("x"), ring_xy.var("y")]),
-                          ring_xy.var("x"))
+        endomorphism_ring(pres, I, ring_xy.var("x"))
+    decision = pick_nzd_or_split(pres, I)
+    assert decision.is_split
+    with pytest.raises(NotNonZeroDivisor):
+        endomorphism_ring(pres, I, decision)
+
+
+def test_endomorphism_trusts_nonsplit_decision(ring_xy, monkeypatch):
+    pres = cusp(ring_xy)
+    test = choose_test_ideal(pres)
+    decision = pick_nzd_or_split(pres, test)
+    expected = endomorphism_ring(pres, test, decision.f)
+
+    def no_annihilator(*args):
+        raise AssertionError("annihilator recomputed for a certified nonzerodivisor")
+
+    monkeypatch.setattr(normalize_module, "annihilator", no_annihilator)
+    assert endomorphism_ring(pres, test, decision) == expected
 
 
 def test_extend_ring_cusp(ring_xy):

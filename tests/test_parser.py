@@ -83,8 +83,9 @@ def test_missing_semicolon():
 
 
 def test_duplicate_variable_rejected():
-    with pytest.raises(ParseError):
-        parse_input("ring QQ[x,x]; ideal (x);")
+    with pytest.raises(ParseError) as info:
+        parse_input("ring QQ[x,x];\nideal (x);")
+    assert (info.value.line, info.value.column) == (1, 11)
 
 
 def test_signed_leading_term():
