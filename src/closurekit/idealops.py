@@ -5,9 +5,17 @@ Colon ideals are syzygy reads: the entries a of the syzygies a*f ∈ I,
 from one tagged run of the engine, generate I : f.  ``intersect`` and
 ``saturation`` stay on elimination of one adjoined variable.
 
+Radical membership f in sqrt(I) first looks for a witness exponent:
+a zero normal form of f^e, e <= _WITNESS_CAP, against I's memoized
+basis proves f^e in I.  Only without one does Rabinowitsch decide, by a
+fresh basis of I + (1 - t*f); that is the route that can answer False.
+
 The radical follows a two-strategy plan.  Zero-dimensional ideals use
 squarefree parts of univariate eliminants (one per variable); adjoining
-those parts makes the ideal radical.  Positive-dimensional ideals reduce
+those parts makes the ideal radical.  Each eliminant is the minimal
+polynomial of x_i acting on R/I, found by linear algebra on the normal
+forms of 1, x_i, x_i^2, ... against I's basis (as in FGLM), so no
+elimination basis is computed.  Positive-dimensional ideals reduce
 to the zero-dimensional case over the rational function field of a
 maximal independent variable set: a block order whose dependent block
 dominates makes the Groebner basis valid there, pseudo-remainder
@@ -153,12 +161,31 @@ def saturation(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ring, _back_to(ring, elim.groebner_basis()))
 
 
+_WITNESS_CAP = 8
+
+
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
-    """f in sqrt(I), decided by 1 in I + (1 - t*f)."""
+    """f in sqrt(I).  A witness exponent comes first: f^e for
+    e = 1.._WITNESS_CAP is reduced against I's memoized basis, and a
+    zero normal form proves f^e in I.  Without a witness (or for I = 0)
+    Rabinowitsch decides: f in sqrt(I) iff 1 in I + (1 - t*f), the only
+    route that can answer False."""
     if f.ring != I.ring:
         raise RingMismatch("element lives in a different ring")
     if f.is_zero():
         return True
+    if not I.is_zero():
+        p = f
+        for _ in range(_WITNESS_CAP):
+            p = normal_form(p, I)   # f^e mod I
+            if not p:
+                return True
+            p = p * f
+    return _rabinowitsch(f, I)
+
+
+def _rabinowitsch(f: Polynomial, I: Ideal) -> bool:
+    """1 in I + (1 - t*f), from a fresh basis in one more variable."""
     ext, name = _adjoined(f.ring)
     t = ext.var(name)
     gens = [g.map_to(ext) for g in I.generators]
@@ -270,18 +297,41 @@ def _certify_radical(original: Ideal, candidate: Ideal):
             raise StrategyFailed("radical certification failed: generator escapes")
 
 
-def _radical_zerodim(I: Ideal, char: int) -> Ideal:
+def _minimal_polynomial(I: Ideal, i: int) -> Polynomial:
+    """Monic generator of I ∩ k[x_i], read as the minimal polynomial of
+    x_i acting on R/I: the normal forms of 1, x_i, x_i^2, ... against
+    I's basis are kept in echelon form by leading monomial, each with
+    its combination as a polynomial in x_i; the first one that reduces
+    to zero is the answer.  R/I must be finite-dimensional."""
     ring = I.ring
-    extra = []
+    x = _var_power(ring, i, 1)
+    rows = {}       # leading monomial -> (monic row, its combination)
+    power = normal_form(ring.one, I)    # nf(x_i^k)
+    k = 0
+    while True:
+        r, comb = power, _var_power(ring, i, k)
+        while r and r.LM in rows:
+            row, row_comb = rows[r.LM]
+            c = r.raw[0][1]
+            r, comb = r - row * c, comb - row_comb * c
+        if not r:
+            return comb
+        rows[r.LM] = (r.monic(), comb * r.LC.inverse())
+        k += 1
+        power = normal_form(power * x, I)
+
+
+def _radical_zerodim(I: Ideal, char: int) -> Ideal:
+    """I plus the squarefree part of each variable's minimal polynomial
+    on R/I; I must be zero-dimensional and proper."""
+    ring = I.ring
+    basis = I.groebner_basis()
     for i, name in enumerate(ring.variables):
-        others = set(ring.variables) - {name}
-        elim = eliminate(I, others)
-        gens = [g for g in elim.groebner_basis() if g]
-        if not gens:
-            raise StrategyFailed(
-                f"no univariate eliminant in {name}; ideal is not zero-dimensional")
-        g = min(gens, key=lambda p: p.degree_in(i))
-        extra.append(_squarefree_part_field(g, i, char))
+        if not any(g.LM[i] and g.LM[i] == sum(g.LM) for g in basis):
+            raise AssertionError(
+                f"no pure power of {name} leads the basis; ideal is not zero-dimensional")
+    extra = [_squarefree_part_field(_minimal_polynomial(I, i), i, char)
+             for i in range(ring.nvars)]
     out = Ideal(ring, list(I.generators) + extra)
     out = Ideal(ring, list(out.groebner_basis()))
     return out
@@ -363,8 +413,10 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
 
 def radical(I: Ideal, strategy: str = "auto") -> Ideal:
     """Generators of sqrt(I); the output is certified (containment plus
-    radical membership of every generator) before being returned.  "auto"
-    is "general", which sends dimension zero on to "zerodim"."""
+    radical membership of every generator, each by a witness exponent
+    or else Rabinowitsch) before being returned.  "auto" is "general",
+    which sends dimension zero on to "zerodim"; "zerodim" itself rejects
+    any other dimension up front."""
     ring = I.ring
     char = ring.field.characteristic
     if I.is_zero():
@@ -374,6 +426,10 @@ def radical(I: Ideal, strategy: str = "auto") -> Ideal:
     if strategy not in ("auto", "zerodim", "general"):
         raise ValueError(f"unknown radical strategy {strategy!r}")
     if strategy == "zerodim":
+        dim = dimension(I)
+        if dim != 0:
+            raise StrategyFailed(
+                f"ideal is not zero-dimensional (dimension {dim})")
         out = _radical_zerodim(I, char)
     else:
         out = _radical_general(I, char, 0)

@@ -12,11 +12,20 @@ elimination and exact division, a second route through the package's
 ideal bases, against which the syzygy-based colon ideals are checked.
 ``reference_determinant`` is plain Laplace expansion along the first
 row, with no sharing of sub-minors and no reduction along the way.
+``reference_eliminant`` reads the generator of I ∩ k[x_i] off an
+elimination basis, not off normal forms in R/I.
 """
 from fractions import Fraction
 from itertools import product
 
-from closurekit import Ideal, Polynomial, PolyRing, divide_with_remainder, intersect
+from closurekit import (
+    Ideal,
+    Polynomial,
+    PolyRing,
+    divide_with_remainder,
+    eliminate,
+    intersect,
+)
 
 
 def degrevlex_cmp(m1, m2):
@@ -302,3 +311,15 @@ def reference_determinant(rows):
         term = entry * reference_determinant(minor)
         total = total - term if j % 2 else total + term
     return total
+
+
+def reference_eliminant(I, i):
+    """Monic generator of I ∩ k[x_i]: eliminate every other variable and
+    take the eliminated ideal's own reduced basis, which is one
+    univariate polynomial for a zero-dimensional I."""
+    ring = I.ring
+    others = set(ring.variables) - {ring.variables[i]}
+    gens = [g for g in eliminate(I, others).groebner_basis() if g]
+    if not gens:
+        raise ValueError(f"no univariate eliminant in {ring.variables[i]}")
+    return min(gens, key=lambda p: p.degree_in(i))

@@ -223,3 +223,14 @@ def test_trace_golden(name):
     code, out = _run_json(FIXTURES / f"{name}.txt", "--trace")
     assert code == 0
     assert out == (GOLDEN / f"{name}.trace.json").read_text()
+
+
+@pytest.mark.parametrize("flags", [("--order", "lex"), ("--radical", "general")],
+                         ids=["lex", "general"])
+@pytest.mark.parametrize("name", ["cusp", "node", "umbrella", "a4", "conic", "zero"])
+def test_flag_golden(name, flags):
+    # non-default flags keep their output too: relations, trace and options
+    code, out = _run_json(FIXTURES / f"{name}.txt", "--trace", "--verify", *flags)
+    assert code == 0
+    suffix = flags[1]
+    assert out == (GOLDEN / f"{name}.{suffix}.json").read_text()

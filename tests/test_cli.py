@@ -109,6 +109,17 @@ def test_input_file_closed(cusp_file):
     assert json.loads(proc.stdout)["schema"] == "closure-kit/1"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_zerodim_strategy_rejects_umbrella_up_front(capsys, json_flag):
+    # the umbrella's first radical is of its singular locus, the z-axis
+    path = Path(__file__).parent / "fixtures" / "umbrella.txt"
+    code, out, err = run(capsys, ["normalize", str(path), "--radical", "zerodim",
+                                  *json_flag])
+    assert code == 3
+    assert out == ""
+    assert err == "algorithm error: ideal is not zero-dimensional (dimension 1)\n"
+
+
 def test_check_rejects_non_radical(tmp_path, capsys):
     path = tmp_path / "nonradical.txt"
     path.write_text(NON_RADICAL)

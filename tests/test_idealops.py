@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 
 from closurekit import (
     DEGREVLEX,
+    Block,
     GF,
     LEX,
     QQ,
@@ -31,7 +33,14 @@ from closurekit.errors import (
 )
 from closurekit.normalize import _step
 from conftest import P
-from oracles import monomials_up_to, reference_determinant, reference_quotient
+from oracles import (
+    monomials_up_to,
+    reference_determinant,
+    reference_eliminant,
+    reference_quotient,
+)
+
+idealops = importlib.import_module("closurekit.idealops")
 
 
 def ctx_for(ring, gens):
@@ -299,8 +308,175 @@ def test_radical_of_zero_and_unit(ring_xy):
 
 def test_radical_zerodim_strategy_rejects_positive_dimension(ring_xy):
     I = Ideal(ring_xy, [P(ring_xy, "x^2")])
-    with pytest.raises(StrategyFailed):
+    with pytest.raises(StrategyFailed,
+                       match=r"^ideal is not zero-dimensional \(dimension 1\)$"):
         radical(I, strategy="zerodim")
+
+
+def test_radical_dimension_check_only_for_zerodim(ring_xy, monkeypatch):
+    calls = []
+    real = idealops.dimension
+    monkeypatch.setattr(idealops, "dimension", lambda I: calls.append(I) or real(I))
+    I = Ideal(ring_xy, [P(ring_xy, "x^2"), P(ring_xy, "y^3")])
+    assert ideals_equal(radical(I), radical(I, strategy="general"))
+    assert calls == []
+    radical(I, strategy="zerodim")
+    assert calls == [I]
+
+
+def test_radical_zerodim_helper_refuses_positive_dimension(ring_xy):
+    # the minimal-polynomial loop would not end: the helper raises first
+    I = Ideal(ring_xy, [P(ring_xy, "x^2")])
+    with pytest.raises(AssertionError, match="no pure power of y"):
+        idealops._radical_zerodim(I, 0)
+
+
+# -- minimal polynomials against the elimination reference ------------------
+
+def _points_ideal(ring, rng, npoints):
+    """Intersection of (x - a)^m over seeded points a, multiplicity m in {1, 2}."""
+    xs = ring.gens()
+    out = None
+    for _ in range(npoints):
+        lin = [x - rng.randint(-3, 3) for x in xs]
+        if rng.random() < 0.5:
+            lin = [p * q for k, p in enumerate(lin) for q in lin[k:]]
+        J = Ideal(ring, lin)
+        out = J if out is None else intersect(out, J)
+    return out
+
+
+_ELIMINANT_CASES = {
+    # name: (number of variables, ideal builder)
+    "points-1": (1, lambda R, rng: _points_ideal(R, rng, 4)),
+    "points-2": (2, lambda R, rng: _points_ideal(R, rng, 3)),
+    "points-3": (3, lambda R, rng: _points_ideal(R, rng, 3)),
+    "points-4": (4, lambda R, rng: _points_ideal(R, rng, 2)),
+    "fat-point": (2, lambda R, rng: Ideal(R, [P(R, "x^2"), P(R, "x*y"), P(R, "y^2")])),
+    "non-squarefree-1": (1, lambda R, rng: Ideal(R, [
+        (R.var("x") - 1) ** 2 * (R.var("x") + 2) ** 3])),
+    "non-squarefree-3": (3, lambda R, rng: Ideal(R, [
+        (R.var("x") - 1) ** 2 * (R.var("x") + 2), (R.var("y") - R.var("x")) ** 2,
+        P(R, "z^2 - y*z + x")])),
+    "sqrt2-sqrt3": (2, lambda R, rng: Ideal(R, [P(R, "x^2 - 2"), P(R, "y^2 - 3")])),
+}
+
+
+def _block_order(n):
+    head = max(1, n // 2)
+    blocks = [(range(head), DEGREVLEX)]
+    if head < n:
+        blocks.append((range(head, n), LEX))
+    return Block(*blocks)
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex", "block"])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("case", sorted(_ELIMINANT_CASES))
+def test_minimal_polynomial_matches_elimination_reference(case, field, order,
+                                                        monkeypatch):
+    nvars, build = _ELIMINANT_CASES[case]
+    orders = {"lex": LEX, "degrevlex": DEGREVLEX, "block": _block_order(nvars)}
+    ring = PolyRing(field, ["x", "y", "z", "w"][:nvars], orders[order])
+    I = build(ring, random.Random(f"{case}-{field}-{order}"))
+    # one normal form per power 1, x_i, ..., x_i^d; a broken echelon step
+    # that never meets its dependency fails here instead of looping
+    forms = []
+    real = idealops.normal_form
+
+    def counted(p, ideal):
+        forms.append(p)
+        assert len(forms) <= 64, "no dependency among the first 64 powers"
+        return real(p, ideal)
+
+    monkeypatch.setattr(idealops, "normal_form", counted)
+    extra = []
+    for i in range(nvars):
+        expected = reference_eliminant(I, i)
+        forms.clear()
+        got = idealops._minimal_polynomial(I, i)
+        assert got.ring == ring and got.raw == expected.raw
+        assert len(forms) == got.degree_in(i) + 1
+        if case == "sqrt2-sqrt3":
+            assert got.degree_in(i) == 2
+        extra.append(idealops._squarefree_part_field(expected, i, field.characteristic))
+    monkeypatch.undo()
+    if case == "sqrt2-sqrt3":
+        assert len(I.groebner_basis()) == 2  # dim R/I = 4 > 2
+    reference = Ideal(ring, list(I.generators) + extra).groebner_basis()
+    assert idealops._radical_zerodim(I, field.characteristic).groebner_basis() == reference
+
+
+# -- witness exponents before Rabinowitsch ----------------------------------
+
+@pytest.fixture
+def rabinowitsch_runs(monkeypatch):
+    runs = []
+    real = idealops._rabinowitsch
+
+    def counted(f, I):
+        runs.append(f)
+        return real(f, I)
+
+    monkeypatch.setattr(idealops, "_rabinowitsch", counted)
+    return runs
+
+
+def test_witness_settles_up_to_the_cap(ring_xy, rabinowitsch_runs):
+    x, _ = ring_xy.gens()
+    assert idealops._WITNESS_CAP == 8
+    assert radical_membership(x, Ideal(ring_xy, [x ** 8]))
+    assert rabinowitsch_runs == []
+
+
+def test_witness_beyond_cap_falls_back(ring_xy, rabinowitsch_runs):
+    x, _ = ring_xy.gens()
+    assert radical_membership(x, Ideal(ring_xy, [x ** 9]))
+    assert rabinowitsch_runs == [x]
+
+
+def test_non_members_answered_by_fallback(ring_xy, rabinowitsch_runs):
+    x, y = ring_xy.gens()
+    I = Ideal(ring_xy, [x * x])
+    assert not radical_membership(y, I)
+    assert not radical_membership(x + 1, I)
+    assert rabinowitsch_runs == [y, x + 1]
+
+
+def test_membership_in_unit_and_zero_ideals(ring_xy, rabinowitsch_runs):
+    x, y = ring_xy.gens()
+    unit = Ideal(ring_xy, [ring_xy.one])
+    assert radical_membership(x, unit) and radical_membership(ring_xy.one, unit)
+    assert rabinowitsch_runs == []
+    zero = Ideal(ring_xy, [])
+    assert radical_membership(ring_xy.zero, zero)
+    assert not radical_membership(x * y, zero)
+    assert rabinowitsch_runs == [x * y]
+
+
+def test_witness_agrees_with_rabinowitsch():
+    rng = random.Random(7)
+    ring = PolyRing(QQ, ["x", "y", "z"])
+    monos = [m for m in monomials_up_to(3, 2) if any(m)]
+    for _ in range(30):
+        gens = [ring.from_dict({m: rng.randint(-2, 2) for m in rng.sample(monos, 2)})
+                for _ in range(2)]
+        I = Ideal(ring, [g ** rng.randint(1, 3) for g in gens])
+        f = ring.from_dict({m: rng.randint(-2, 2) for m in rng.sample(monos, 2)})
+        for h in (f, gens[0], gens[0] * f):
+            assert radical_membership(h, I) == idealops._rabinowitsch(h, I)
+
+
+def test_radical_of_concurrent_lines_needs_no_fallback(ring_xyz, rabinowitsch_runs):
+    # three concurrent lines in 3-space: every generator of the radical is
+    # certified by a witness exponent
+    I = Ideal(ring_xyz, [
+        P(ring_xyz, "x*y - x*z - y^2 + 2*y*z - z^2 + 2*y - 2*z"),
+        P(ring_xyz, "x*z - y*z + z^2 + x - y + 3*z + 2"),
+        P(ring_xyz, "y*z - z^2 + y - z")])
+    out = radical(I)
+    assert ideals_equal(out, I)
+    assert rabinowitsch_runs == []
 
 
 def test_radical_over_small_prime_field_rejected():
