@@ -1,5 +1,7 @@
 """Buchberger's algorithm, reduced bases, normal forms, syzygies, lifts,
-elimination, and Krull dimension of leading-term ideals.
+elimination and contraction, and Krull dimension of leading-term ideals.
+Only this module fills an ideal's memo without computing: ``Ideal.canonical``,
+``eliminate`` and ``contract`` hold the certified reduced basis they have.
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
@@ -17,6 +19,7 @@ from itertools import chain
 
 from .errors import NotAMember, RingMismatch
 from .ring import (
+    DEGREVLEX,
     LEX,
     Block,
     Polynomial,
@@ -57,6 +60,12 @@ class Ideal:
             cached = _reduced_groebner(self.generators, self.ring, order)
             self._bases[order.name] = cached
         return cached
+
+    def canonical(self) -> "Ideal":
+        """The same ideal, generated by and holding its reduced basis."""
+        out = Ideal(self.ring, self.groebner_basis())
+        out._bases.update(self._bases)
+        return out
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -342,17 +351,36 @@ def lift_all(targets, gens, ambient: Ideal):
 # -- elimination and dimension --------------------------------------------
 
 def eliminate(ideal: Ideal, drop) -> Ideal:
-    """Generators of the intersection with the subring that omits ``drop``."""
+    """Generators of the intersection with the subring that omits ``drop``: the
+    kept basis, reduced under the elimination order and a degrevlex ring order."""
     ring = ideal.ring
     drop = set(drop)
-    for name in drop:
-        ring.index(name)  # raises UnknownVariable
     if not drop:
         return ideal
     drop_ix = {ring.index(name) for name in drop}
     order = elimination_order(ring.nvars, drop_ix)
     basis = ideal.groebner_basis(order)
-    return Ideal(ring, [g for g in basis if not (g.variables_used() & drop_ix)])
+    out = Ideal(ring, [g for g in basis if not (g.variables_used() & drop_ix)])
+    out._bases[order.name] = out.generators
+    if ring.order == DEGREVLEX:
+        out._bases[DEGREVLEX.name] = out.generators
+    return out
+
+
+def contract(ideal: Ideal, ring: PolyRing) -> Ideal:
+    """``ideal`` ∩ k[ring's variables], in ``ring``; those variables keep their order,
+    so a degrevlex ``ring`` agrees with ``eliminate``'s kept block and holds its basis."""
+    source = ideal.ring
+    kept = tuple(name for name in source.variables if name in ring.variables)
+    if ring.field != source.field or kept != ring.variables:
+        raise RingMismatch("contraction target is not a subring of the ideal's ring")
+    elim = eliminate(ideal, set(source.variables) - set(kept))
+    if ring == source:
+        return elim.canonical()
+    out = Ideal(ring, [g.map_to(ring) for g in elim.generators])
+    if ring.nvars < source.nvars and ring.order == DEGREVLEX:
+        out._bases[DEGREVLEX.name] = out.generators
+    return out
 
 
 def dimension(ideal: Ideal) -> int:

@@ -3,12 +3,12 @@ intersection, radical membership, radicals, and the Jacobian test ideal.
 
 Colon ideals are syzygy reads: the entries a of the syzygies a*f ∈ I,
 from one tagged run of the engine, generate I : f.  ``intersect`` and
-``saturation`` stay on elimination of one adjoined variable.
+``saturation`` contract an ideal in one adjoined variable to the ring.
 
 Radical membership f in sqrt(I) first looks for a witness exponent:
 a zero normal form of f^e, e <= _WITNESS_CAP, against I's memoized
-basis proves f^e in I.  Only without one does Rabinowitsch decide, by a
-fresh basis of I + (1 - t*f); that is the route that can answer False.
+basis proves f^e in I.  Only without one does Rabinowitsch decide, by
+whether the saturation I : f^oo is (1); that route can answer False.
 
 The radical follows a two-strategy plan.  Zero-dimensional ideals use
 squarefree parts of univariate eliminants (one per variable); adjoining
@@ -36,7 +36,8 @@ from .errors import (
     UnsupportedCharacteristic,
     ZeroPolynomial,
 )
-from .groebner import Ideal, dimension, eliminate, independent_sets, normal_form, syzygies
+from .groebner import (Ideal, contract, dimension, eliminate, independent_sets,
+                       normal_form, syzygies)
 from .ring import (
     Block,
     DEGREVLEX,
@@ -80,33 +81,27 @@ class QuotientRingContext:
 
 
 def _adjoined(ring: PolyRing):
-    """Ring with one fresh variable in a dominant lex block."""
+    """Ring with one fresh variable t in a dominant lex block, and t."""
     name = fresh_name(ring.variables)
     extended = PolyRing(
         ring.field,
         (name,) + ring.variables,
         Block(((0,), LEX), (tuple(range(1, ring.nvars + 1)), DEGREVLEX)),
     )
-    return extended, name
-
-
-def _back_to(ring: PolyRing, polys):
-    return [p.map_to(ring) for p in polys]
+    return extended, extended.var(name)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the t-trick: eliminate t from t*I + (1-t)*J."""
+    """I ∩ J via the t-trick: t*I + (1-t)*J contracted to the ring."""
     if I.ring != J.ring:
         raise RingMismatch("ideals live in different rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
-    ext, name = _adjoined(ring)
-    t = ext.var(name)
+    ext, t = _adjoined(ring)
     gens = [t * g.map_to(ext) for g in I.generators]
     gens += [(ext.one - t) * g.map_to(ext) for g in J.generators]
-    elim = eliminate(Ideal(ext, gens), {name})
-    return Ideal(ring, _back_to(ring, elim.groebner_basis()))
+    return contract(Ideal(ext, gens), ring)
 
 
 def _quotient_by_element(I: Ideal, f: Polynomial) -> Ideal:
@@ -146,19 +141,16 @@ def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:
-    """{h : h*f^m in I for some m}, by one adjoined variable and
-    elimination of it."""
+    """{h : h*f^m in I for some m}: I + (1 - t*f) contracted to the ring."""
     if f.ring != I.ring:
         raise RingMismatch("element lives in a different ring")
     if f.is_zero():
         raise ZeroPolynomial("cannot saturate with respect to zero")
     ring = I.ring
-    ext, name = _adjoined(ring)
-    t = ext.var(name)
+    ext, t = _adjoined(ring)
     gens = [g.map_to(ext) for g in I.generators]
     gens.append(ext.one - t * f.map_to(ext))
-    elim = eliminate(Ideal(ext, gens), {name})
-    return Ideal(ring, _back_to(ring, elim.groebner_basis()))
+    return contract(Ideal(ext, gens), ring)
 
 
 _WITNESS_CAP = 8
@@ -185,12 +177,8 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
 
 
 def _rabinowitsch(f: Polynomial, I: Ideal) -> bool:
-    """1 in I + (1 - t*f), from a fresh basis in one more variable."""
-    ext, name = _adjoined(f.ring)
-    t = ext.var(name)
-    gens = [g.map_to(ext) for g in I.generators]
-    gens.append(ext.one - t * f.map_to(ext))
-    return Ideal(ext, gens).contains_one()
+    """1 in I + (1 - t*f), i.e. I : f^oo = (1); f = 0 is in every radical."""
+    return not f or saturation(I, f).contains_one()
 
 
 # -- univariate helpers (field coefficients) -------------------------------
@@ -332,9 +320,7 @@ def _radical_zerodim(I: Ideal, char: int) -> Ideal:
                 f"no pure power of {name} leads the basis; ideal is not zero-dimensional")
     extra = [_squarefree_part_field(_minimal_polynomial(I, i), i, char)
              for i in range(ring.nvars)]
-    out = Ideal(ring, list(I.generators) + extra)
-    out = Ideal(ring, list(out.groebner_basis()))
-    return out
+    return Ideal(ring, list(I.generators) + extra).canonical()
 
 
 def _dep_leading_data(g: Polynomial, dep: tuple, block: Block):
@@ -356,7 +342,7 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
         raise StrategyFailed(f"radical recursion exceeded depth {_RADICAL_MAX_DEPTH}")
     ring = I.ring
     if I.contains_one():
-        return Ideal(ring, [ring.one])
+        return I.canonical()
     if I.is_zero():
         return I
     sets = independent_sets(I)
@@ -395,7 +381,7 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
     for g in J.groebner_basis(block):
         note(_dep_leading_data(g, dep, block))
 
-    contracted = Ideal(ring, list(J.groebner_basis()))
+    contracted = J.canonical()
     for h in factors:
         contracted = saturation(contracted, h)
     if not factors:
@@ -417,12 +403,11 @@ def radical(I: Ideal, strategy: str = "auto") -> Ideal:
     or else Rabinowitsch) before being returned.  "auto" is "general",
     which sends dimension zero on to "zerodim"; "zerodim" itself rejects
     any other dimension up front."""
-    ring = I.ring
-    char = ring.field.characteristic
+    char = I.ring.field.characteristic
     if I.is_zero():
         return I
     if I.contains_one():
-        return Ideal(ring, [ring.one])
+        return I.canonical()
     if strategy not in ("auto", "zerodim", "general"):
         raise ValueError(f"unknown radical strategy {strategy!r}")
     if strategy == "zerodim":

@@ -28,7 +28,7 @@ from .errors import (
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from .groebner import Ideal, eliminate, lift_all, normal_form, syzygies
+from .groebner import Ideal, contract, lift_all, normal_form, syzygies
 from .idealops import (
     QuotientRingContext,
     annihilator,
@@ -75,10 +75,6 @@ class AffinePresentation:
 
     def adjoined_names(self):
         return [a.name for a in self.adjoined]
-
-    def original_variables(self):
-        tower = set(self.adjoined_names())
-        return [v for v in self.ring.variables if v not in tower]
 
 
 def presentation(ring: PolyRing, generators) -> AffinePresentation:
@@ -280,8 +276,7 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
         quadratics[(i, j)] = Q
         gens.append(Q)
 
-    defining = Ideal(new_ring, gens)
-    defining = Ideal(new_ring, list(defining.groebner_basis()))
+    defining = Ideal(new_ring, gens).canonical()
     if defining.contains_one():
         raise AssertionError("extension presentation collapsed to the zero ring")
     adjoined = list(R.adjoined)
@@ -302,8 +297,7 @@ def _split_component(comp: Component, decision: SplitDecision, next_index):
     base = list(comp.presentation.defining.generators)
     children = []
     for extra in ([decision.f], list(decision.annihilator_ideal.generators)):
-        ideal = Ideal(ring, base + extra)
-        ideal = Ideal(ring, list(ideal.groebner_basis()))
+        ideal = Ideal(ring, base + extra).canonical()
         if ideal.contains_one():
             raise AssertionError("split factor collapsed to the unit ideal")
         child = AffinePresentation(
@@ -412,9 +406,7 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
 
         # (b) per-component direction: the input ideal maps into the
         # eliminated defining ideal
-        adjoined_names = set(pres.adjoined_names())
-        elim = eliminate(pres.defining, adjoined_names)
-        elim0 = Ideal(R0.ring, [g.map_to(R0.ring) for g in elim.groebner_basis()])
+        elim0 = contract(pres.defining, R0.ring)
         for g in R0.defining.generators:
             _require(normal_form(g, elim0).is_zero(),
                      f"component {comp.index}: input relation escapes the image")
@@ -439,14 +431,9 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
             if (adj.level, adj.denominator) in checked:
                 continue
             checked.add((adj.level, adj.denominator))
-            higher = {a.name for a in pres.adjoined if a.level >= adj.level}
-            level_ideal = eliminate(pres.defining, higher)
             # the denominator lives in the ring of the level it was taken at
             level_ring = adj.denominator.ring
-            level_ctx = QuotientRingContext(
-                level_ring,
-                Ideal(level_ring, [g.map_to(level_ring)
-                                   for g in level_ideal.groebner_basis()]))
+            level_ctx = QuotientRingContext(level_ring, contract(pres.defining, level_ring))
             _require(annihilator(adj.denominator, level_ctx).is_zero(),
                      f"{adj.name}: tower denominator is a zerodivisor at its level")
         report.note(f"component {comp.index}: denominator certificates ok")

@@ -1,26 +1,31 @@
+import importlib
 import random
 
 import pytest
 
 from closurekit import (
+    DEGREVLEX,
+    GF,
     LEX,
     QQ,
+    Block,
     Ideal,
     PolyRing,
     buchberger,
     dimension,
     divide_with_remainder,
     eliminate,
+    elimination_order,
     ideal_member,
     ideals_equal,
     lift,
     normal_form,
     syzygies,
 )
-from closurekit.errors import NotAMember, UnknownVariable
-from closurekit.groebner import lift_all
+from closurekit.errors import NotAMember, RingMismatch, UnknownVariable
+from closurekit.groebner import contract, lift_all
 from conftest import P
-from oracles import brute_force_syzygies, in_module_span, substitute
+from oracles import brute_force_syzygies, in_module_span, monomials_up_to, substitute
 
 
 def test_single_generator_is_its_own_basis(ring_xy):
@@ -295,3 +300,123 @@ def test_membership_order_independent(ring_xy):
         I_drl = Ideal(ring_xy, gens)
         I_lex = Ideal(lex_ring, [g.map_to(lex_ring) for g in gens])
         assert ideal_member(probe, I_drl) == ideal_member(probe.map_to(lex_ring), I_lex)
+
+
+# -- held bases: canonical, eliminate, contract ------------------------------
+
+def _ring(field, names, kind):
+    order = {"lex": LEX, "degrevlex": DEGREVLEX}.get(kind) or Block(
+        ((0,), LEX), (range(1, len(names)), DEGREVLEX))
+    return PolyRing(field, names, order)
+
+
+def _held_cases(R):
+    t, x, y, z = R.gens()
+    rng = random.Random(4242)
+    monos = monomials_up_to(4, 2)
+    cases = [
+        [x - t, y - t * t, z - t * t * t],                   # twisted cubic
+        [t * x * y, t * (x + z), (R.one - t) * (y - z * z)],  # an intersection
+        [x * y - z, x * x - y],                              # no t at all
+    ]
+    for _ in range(3):
+        cases.append([R.from_dict({m: rng.choice((1, -1, 2, -3))
+                                   for m in rng.sample(monos, 3)})
+                      for _ in range(3)])
+    return [Ideal(R, gens) for gens in cases]
+
+
+def _assert_held_bases_are_fresh(out, orders):
+    """Every basis ``out`` holds is under one of ``orders`` and equals the
+    one a fresh ideal on the same generators computes."""
+    by_name = {order.name: order for order in orders}
+    assert set(out._bases) <= set(by_name)
+    fresh = Ideal(out.ring, list(out.generators))
+    for name, basis in out._bases.items():
+        assert basis == fresh.groebner_basis(by_name[name]), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("kind", ["lex", "degrevlex", "block"])
+def test_held_bases_equal_fresh_bases(field, kind):
+    R = _ring(field, ["t", "x", "y", "z"], kind)
+    targets = [_ring(field, ["x", "y", "z"], kind), _ring(field, ["y", "z"], kind)]
+    drop_t = elimination_order(4, {0})
+    for I in _held_cases(R):
+        I.groebner_basis(drop_t)
+        can = I.canonical()
+        assert can.generators == I.groebner_basis()
+        assert set(can._bases) == {R.order.name, drop_t.name}
+        _assert_held_bases_are_fresh(can, [R.order, drop_t])
+
+        elim = eliminate(I, {"t"})
+        assert drop_t.name in elim._bases
+        assert (DEGREVLEX.name in elim._bases) == (kind == "degrevlex")
+        _assert_held_bases_are_fresh(elim, [R.order, drop_t, DEGREVLEX])
+
+        for S in targets:
+            out = contract(I, S)
+            assert out.ring == S
+            assert list(out.generators) == [g.map_to(S) for g in eliminate(
+                I, set(R.variables) - set(S.variables)).generators]
+            assert set(out._bases) == ({DEGREVLEX.name} if kind == "degrevlex" else set())
+            _assert_held_bases_are_fresh(out, [S.order])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("kind", ["lex", "degrevlex", "block"])
+def test_contract_with_nothing_to_drop(field, kind):
+    R = _ring(field, ["x", "y", "z"], kind)
+    x, y, z = R.gens()
+    I = Ideal(R, [x * y - z, x * x - y])     # not a basis: y^2 - x*z is missing
+    assert eliminate(I, set()) is I and I._bases == {}
+    out = contract(I, R)
+    assert out.generators == I.groebner_basis()
+    assert len(out.generators) > len(I.generators)
+    _assert_held_bases_are_fresh(out, [R.order])
+    # the same variables under another order: nothing is dropped and
+    # the generators are not a basis there, so nothing is held
+    other = _ring(field, ["x", "y", "z"], "lex" if kind != "lex" else "degrevlex")
+    moved = contract(Ideal(R, [x * y - z, x * x - y]), other)
+    assert moved._bases == {}
+    assert ideals_equal(moved, Ideal(other, [g.map_to(other) for g in out.generators]))
+
+
+def test_held_bases_start_no_buchberger_run(monkeypatch):
+    groebner = importlib.import_module("closurekit.groebner")
+    runs = []
+    real = groebner._reduced_groebner
+
+    def counted(gens, ring, order):
+        runs.append(order.name)
+        return real(gens, ring, order)
+
+    monkeypatch.setattr(groebner, "_reduced_groebner", counted)
+    R = PolyRing(QQ, ["t", "x", "y", "z"])
+    t, x, y, z = R.gens()
+    I = Ideal(R, [x - t, y - t * t, z - t * t * t])
+    can = I.canonical()
+    assert runs == [DEGREVLEX.name]
+    can.groebner_basis()
+    assert can.contains_one() is False
+    assert runs == [DEGREVLEX.name]
+
+    S = PolyRing(QQ, ["x", "y", "z"])
+    out = contract(I, S)
+    assert len(runs) == 2                   # the elimination basis only
+    assert out.groebner_basis() == out.generators
+    assert normal_form(S.var("y") ** 2, out) == S.var("x") * S.var("z")
+    assert len(runs) == 2
+    # a lex target holds nothing: asking for its basis starts a run
+    contract(I, S.with_order(LEX)).groebner_basis()
+    assert len(runs) == 3
+
+
+def test_contract_rejects_foreign_rings():
+    R = PolyRing(QQ, ["t", "x", "y"])
+    I = Ideal(R, [R.var("x") - R.var("t"), R.var("y") - R.var("t") ** 2])
+    for target in (PolyRing(GF(32003), ["x", "y"]),
+                   PolyRing(QQ, ["y", "x"]),
+                   PolyRing(QQ, ["x", "w"])):
+        with pytest.raises(RingMismatch):
+            contract(I, target)

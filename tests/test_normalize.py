@@ -283,6 +283,34 @@ def test_verify_rejects_zerodivisor_denominator(ring_xy):
         verify_result(pres, res)
 
 
+def _split_cross(ring):
+    """The coordinate cross x*y = 0 and its two line components."""
+    pres = presentation(ring, [P(ring, "x*y")])
+    res = normalize(pres)
+    assert [str(c.presentation.defining) for c in res.components] == [
+        "Ideal(x)", "Ideal(y)"]
+    return pres, res
+
+
+def test_verify_rejects_a_dropped_component(ring_xy):
+    # one line alone is normal, contains x*y, and misses the other line
+    pres, res = _split_cross(ring_xy)
+    res.components.pop()
+    with pytest.raises(VerificationFailed,
+                       match="intersection of component images exceeds the input radical"):
+        verify_result(pres, res)
+
+
+def test_verify_rejects_a_component_off_the_input(ring_xy):
+    # the line x = 1 is normal but does not contain x*y
+    pres, res = _split_cross(ring_xy)
+    comp = res.components[1]
+    comp.presentation = presentation(ring_xy, [P(ring_xy, "x - 1")])
+    with pytest.raises(VerificationFailed,
+                       match="component 2: input relation escapes the image"):
+        verify_result(pres, res)
+
+
 def test_split_intersection_soundness(ring_xy):
     # on a split into (f) and J, both f*J and (f) ∩ J land in D
     from closurekit import intersect
