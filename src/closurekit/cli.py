@@ -20,10 +20,10 @@ from .errors import (
     UnsupportedCharacteristic,
     VerificationFailed,
 )
-from .groebner import Ideal, ideals_equal
+from .groebner import ideals_equal
 from .idealops import radical
 from .normalize import NormalizationResult, normalize, presentation, verify_result
-from .parser import InputDocument, parse_input
+from .parser import parse_input
 from .ring import DEGREVLEX, LEX
 
 SCHEMA = "closure-kit/1"
@@ -86,13 +86,6 @@ def _emit_text(document: dict, out):
         print(f"trace: {event}", file=out)
 
 
-def _check_radical_input(doc: InputDocument) -> bool:
-    ideal = Ideal(doc.ring, doc.generators)
-    if ideal.is_zero():
-        return True
-    return ideals_equal(radical(ideal), Ideal(doc.ring, list(ideal.generators)))
-
-
 def run_cli(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="closure-kit",
@@ -140,10 +133,10 @@ def run_cli(argv) -> int:
                "max_iter": args.max_iter}
 
     try:
-        if args.check and not _check_radical_input(doc):
+        start = presentation(doc.ring, doc.generators)
+        if args.check and not ideals_equal(radical(start.defining), start.defining):
             print("check failed: input ideal is not radical", file=sys.stderr)
             return EXIT_VERIFY
-        start = presentation(doc.ring, doc.generators)
         result = normalize(start, max_iterations=args.max_iter,
                            radical_strategy=args.radical)
         if args.verify:

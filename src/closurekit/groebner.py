@@ -89,26 +89,19 @@ def _set_aside(r, syzygies) -> bool:
 
 
 def _interreduce(polys, syzygies=None):
-    """Repeatedly reduce each polynomial by the others until stable.
-    Change is tracked through the division quotients, not by comparing
-    the polynomial lists."""
-    current = [p.monic() for p in polys if p and not _set_aside(p, syzygies)]
-    changed = True
-    while changed:
-        changed = False
-        reduced = []
-        for i, p in enumerate(current):
-            others = reduced + current[i + 1:]
-            if not others:
-                reduced.append(p)
-                continue
-            qs, r = divide_with_remainder(p, others)
-            if any(qs):
-                changed = True
-            if r and not _set_aside(r, syzygies):
-                reduced.append(r.monic())
-        current = reduced
-    return current
+    """One interreduction pass: each polynomial is divided once by the ones
+    already kept and the ones still to come, and its monic remainder is
+    kept.  ``_buchberger`` runs it on its input, which then only has to
+    generate the ideal, and on its minimal basis, where the leading
+    monomials stay and each element becomes the unique reduced one."""
+    todo = [p.monic() for p in polys if p and not _set_aside(p, syzygies)]
+    kept = []
+    for i, p in enumerate(todo):
+        others = kept + todo[i + 1:]
+        r = divide_with_remainder(p, others)[1] if others else p
+        if r and not _set_aside(r, syzygies):
+            kept.append(r.monic())
+    return kept
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -146,6 +139,8 @@ def _buchberger(polys, ring, syzygies=None):
     """Reduced Groebner basis, Gebauer-Moeller pair update with
     normal-strategy selection (smallest lcm first, ties by index).
 
+    One ``_interreduce`` pass reduces the input by itself; after the pair
+    loop the minimal basis goes through the same pass as tail reduction.
     Each pair keeps the lcm of its leading monomials from creation on;
     pairs wait in a heap keyed by that lcm, and a pair the chain
     criterion discards is dropped from ``CP`` and skipped when popped.
@@ -210,19 +205,13 @@ def _buchberger(polys, ring, syzygies=None):
             update(len(f) - 1)
             reducers = None
 
-    # minimalize, then tail-reduce: the reduced basis is unique
+    # minimalize (an element another's leading monomial divides would only
+    # reduce to zero), then tail-reduce by the same pass: the reduced basis
+    # is unique
     minimal = [f[g] for g in G]
     minimal = [p for p in minimal
                if not any(q is not p and monomial_divides(q.LM, p.LM) for q in minimal)]
-    reduced = []
-    for i, p in enumerate(minimal):
-        others = [q for q in minimal if q is not p]
-        if others:
-            _, r = divide_with_remainder(p, others)
-        else:
-            r = p
-        if r:
-            reduced.append(r.monic())
+    reduced = _interreduce(minimal)
     reduced.sort(key=lambda p: key(p.LM), reverse=True)
     return reduced
 

@@ -219,21 +219,9 @@ def _var_power(ring: PolyRing, i: int, e: int) -> Polynomial:
     return ring.term(m, ring.field.one)
 
 
-def _prem(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
-    """Pseudo-remainder of f by g, both viewed as univariate in x_i."""
-    ring = f.ring
-    dg = g.degree_in(i)
-    lc_g = _leading_coeff_in(g, i)
-    r = f
-    while r and r.degree_in(i) >= dg:
-        s = _leading_coeff_in(r, i) * _var_power(ring, i, r.degree_in(i) - dg)
-        r = lc_g * r - s * g
-    return r
-
-
-def _pquo_exact(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
-    """Pseudo-quotient when g divides f over the fraction field of the
-    other variables; the pseudo-remainder must vanish."""
+def _pseudo_divide(f: Polynomial, g: Polynomial, i: int):
+    """Pseudo-quotient and pseudo-remainder (q, r) of f by g, both viewed
+    as univariate in x_i: lc^k * f = q * g + r with deg_i r < deg_i g."""
     ring = f.ring
     dg = g.degree_in(i)
     lc_g = _leading_coeff_in(g, i)
@@ -242,9 +230,7 @@ def _pquo_exact(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
         s = _leading_coeff_in(r, i) * _var_power(ring, i, r.degree_in(i) - dg)
         q = lc_g * q + s
         r = lc_g * r - s * g
-    if r:
-        raise AssertionError("pseudo-division expected to be exact")
-    return q
+    return q, r
 
 
 def _squarefree_part_pseudo(g: Polynomial, i: int, char: int):
@@ -262,11 +248,13 @@ def _squarefree_part_pseudo(g: Polynomial, i: int, char: int):
             "derivative vanished; characteristic divides every exponent")
     a, b = g, dg
     while b and b.degree_in(i) > 0:
-        a, b = b, _prem(a, b, i)
+        a, b = b, _pseudo_divide(a, b, i)[1]
     if b:
         # gcd is trivial over k(u); g is already squarefree there
         return g, [b, _leading_coeff_in(g, i)]
-    part = _pquo_exact(g, a, i)
+    part, r = _pseudo_divide(g, a, i)
+    if r:
+        raise AssertionError("pseudo-division expected to be exact")
     junk = [_leading_coeff_in(a, i), _leading_coeff_in(part, i)]
     return part, junk
 

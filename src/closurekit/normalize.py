@@ -73,9 +73,6 @@ class AffinePresentation:
     def defining(self) -> Ideal:
         return self.ctx.defining
 
-    def adjoined_names(self):
-        return [a.name for a in self.adjoined]
-
 
 def presentation(ring: PolyRing, generators) -> AffinePresentation:
     """Level-0 presentation from a ring and defining generators."""

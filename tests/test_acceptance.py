@@ -31,6 +31,8 @@ from oracles import substitute
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+# cusp-line and axes are split-mix inputs: the only goldens with a Split
+GOLDEN_NAMES = ["cusp", "node", "umbrella", "a4", "conic", "zero", "cusp-line", "axes"]
 
 
 @contextmanager
@@ -95,7 +97,7 @@ def test_criterion_2_node():
                 endo = endomorphism_ring(cp, test, decision.f)
             assert is_fixed_point(endo)
             # defining ideal eliminates to one linear relation in x, y
-            elim = eliminate(cp.defining, set(cp.adjoined_names()))
+            elim = eliminate(cp.defining, {a.name for a in cp.adjoined})
             basis = elim.groebner_basis()
             assert len(basis) == 1
             assert basis[0].total_degree() == 1
@@ -197,7 +199,7 @@ def _run_json(path, *extra):
 
 def test_criterion_8_cli_golden_and_exit_codes():
     with criterion("8 cli end-to-end"):
-        for name in ("cusp", "node", "umbrella", "a4", "conic", "zero"):
+        for name in GOLDEN_NAMES:
             code, first = _run_json(FIXTURES / f"{name}.txt")
             assert code == 0
             _, second = _run_json(FIXTURES / f"{name}.txt")
@@ -217,7 +219,7 @@ def test_criterion_8_cli_golden_and_exit_codes():
         assert code == 4 and out == ""
 
 
-@pytest.mark.parametrize("name", ["cusp", "node", "umbrella", "a4", "conic", "zero"])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_trace_golden(name):
     # the trace lines are output too: pin them byte for byte
     code, out = _run_json(FIXTURES / f"{name}.txt", "--trace")
@@ -227,7 +229,7 @@ def test_trace_golden(name):
 
 @pytest.mark.parametrize("flags", [("--order", "lex"), ("--radical", "general")],
                          ids=["lex", "general"])
-@pytest.mark.parametrize("name", ["cusp", "node", "umbrella", "a4", "conic", "zero"])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_flag_golden(name, flags):
     # non-default flags keep their output too: relations, trace and options
     code, out = _run_json(FIXTURES / f"{name}.txt", "--trace", "--verify", *flags)

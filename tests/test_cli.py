@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from closurekit import emit_json, run_cli
+from closurekit import DEGREVLEX, emit_json, parse_input, run_cli
 
 CUSP = "ring QQ[x,y];\nideal (y^2 - x^3);\n"
 NODE = "ring QQ[x,y];\nideal (y^2 - x^2);\n"
 BROKEN = "ring QQ[x,y]; ideal (y^2 - z);\n"
 NON_RADICAL = "ring QQ[x]; ideal (x^2);\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -132,6 +134,23 @@ def test_check_rejects_non_radical(tmp_path, capsys):
 def test_check_accepts_radical_input(cusp_file, capsys):
     code, _, _ = run(capsys, ["normalize", cusp_file, "--check", "--json"])
     assert code == 0
+
+
+def test_check_computes_the_input_basis_once(cusp_file, capsys, monkeypatch):
+    groebner = importlib.import_module("closurekit.groebner")
+    real = groebner._reduced_groebner
+    runs = []
+
+    def counted(gens, ring, order):
+        runs.append((tuple(gens), order.name))
+        return real(gens, ring, order)
+
+    monkeypatch.setattr(groebner, "_reduced_groebner", counted)
+    code, out, _ = run(capsys, ["normalize", cusp_file, "--json", "--check"])
+    assert code == 0
+    assert out == (GOLDEN / "cusp.json").read_text()
+    key = (parse_input(CUSP).generators, DEGREVLEX.name)
+    assert runs.count(key) == 1
 
 
 def test_trace_flag_controls_trace(tmp_path, capsys):

@@ -25,7 +25,14 @@ from closurekit import (
 from closurekit.errors import NotAMember, RingMismatch, UnknownVariable
 from closurekit.groebner import contract, lift_all
 from conftest import P
-from oracles import brute_force_syzygies, in_module_span, monomials_up_to, substitute
+from oracles import (
+    brute_force_syzygies,
+    in_module_span,
+    monomials_up_to,
+    reference_divide,
+    reference_spoly,
+    substitute,
+)
 
 
 def test_single_generator_is_its_own_basis(ring_xy):
@@ -420,3 +427,86 @@ def test_contract_rejects_foreign_rings():
                    PolyRing(QQ, ["x", "w"])):
         with pytest.raises(RingMismatch):
             contract(I, target)
+
+
+# -- reduced bases of generators that reduce one another -----------------------
+
+def _leading_monomial(p):
+    return max((m for m, _ in p.terms), key=p.ring.order.key)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _assert_reduced_basis(basis, gens):
+    """``basis`` is a reduced Groebner basis of the ideal of ``gens``, by
+    the textbook definitions and the reference division, with a lift
+    certificate for every element."""
+    R = gens[0].ring
+    lms = [_leading_monomial(b) for b in basis]
+    for i, (b, lm) in enumerate(zip(basis, lms)):
+        assert dict(b.terms)[lm] == R.field.one, "not monic"
+        for j, other in enumerate(lms):
+            assert j == i or not _divides(other, lm), "not minimal"
+        for m, _ in b.terms:
+            assert m == lm or not any(_divides(o, m) for o in lms), "tail not reduced"
+    for i, f in enumerate(basis):
+        for g in basis[i + 1:]:
+            spoly = R.from_dict(dict(reference_spoly(f, g)))
+            assert not reference_divide(spoly, basis)[1], "S-polynomial escapes"
+    for g in gens:
+        assert not reference_divide(g, basis)[1], "generator escapes"
+    for b in basis:
+        coeffs = lift(b, gens, Ideal(R, []))
+        assert sum((c * g for c, g in zip(coeffs, gens)), R.zero) == b
+
+
+def _mutually_reducing_cases(R):
+    x, y, z = R.gens()
+    f, g = x * y - z, x * x - y
+    rng = random.Random(9113)
+    monos = monomials_up_to(3, 1)
+
+    def small():
+        return R.from_dict({m: rng.choice((1, -1, 2, 3)) for m in rng.sample(monos, 2)})
+
+    cases = [
+        [f, f, 3 * f, g, g],                                 # duplicates, multiples
+        [f, g, x * f + (z - 1) * g, 16001 * g - f],          # combinations
+        [y - x * x, z - x ** 3, z - x * y, 2 * (y - x * x)],  # twisted cubic
+        [y * y + z, x + y, x],              # one pass leaves y dividing y^2
+        [x, x + R.one, y],                                   # the unit ideal
+    ]
+    for _ in range(3):
+        a, b = small(), small()
+        cases.append([a * f + b * g, f, b * g, g + a * f])
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("kind", ["lex", "degrevlex", "block"])
+def test_basis_of_mutually_reducing_generators_is_reduced(field, kind):
+    R = _ring(field, ["x", "y", "z"], kind)
+    rng = random.Random(2718)
+    for gens in _mutually_reducing_cases(R):
+        basis = Ideal(R, gens).groebner_basis()
+        _assert_reduced_basis(basis, gens)
+        for _ in range(3):
+            shuffled = rng.sample(gens, len(gens))
+            assert Ideal(R, shuffled).groebner_basis() == basis
+        assert Ideal(R, gens + gens[::-1]).groebner_basis() == basis
+
+
+def test_syzygies_of_mutually_reducing_generators(ring_xy):
+    x, y = ring_xy.gens()
+    d = P(ring_xy, "y^2 - x^3")
+    ambient = Ideal(ring_xy, [d])
+    for gens in ([x, x + y * d, x * d],          # g, g + h*d, d' modulo D
+                 [x + y, x + y, 2 * x + 2 * y + d]):
+        module = syzygies(gens, ambient)
+        for vec in module:
+            assert ideal_member(sum((a * g for a, g in zip(vec, gens)),
+                                    ring_xy.zero), ambient)
+        for vec in brute_force_syzygies(gens, [d], 2):
+            assert in_module_span(vec, list(module), [d], 3)
