@@ -23,7 +23,6 @@ from .ring import (
 )
 from .groebner import (
     Ideal,
-    SyzygyModule,
     buchberger,
     dimension,
     eliminate,
@@ -71,7 +70,7 @@ __all__ = [
     "Block", "DEGREVLEX", "LEX", "DegRevLex", "Lex", "MonomialOrder",
     "Polynomial", "PolyRing", "compare_monomials", "divide_with_remainder",
     "elimination_order", "poly_op",
-    "Ideal", "SyzygyModule", "buchberger", "dimension", "eliminate",
+    "Ideal", "buchberger", "dimension", "eliminate",
     "ideal_member", "ideals_equal", "lift", "normal_form", "syzygies",
     "QuotientRingContext", "annihilator", "ideal_quotient", "intersect",
     "jacobian_test_ideal", "radical", "radical_membership", "saturation",

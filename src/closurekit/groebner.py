@@ -122,14 +122,6 @@ def _reduced_groebner(gens, ring, order):
     work_ring = ring.with_order(order)
     polys = [g.map_to(work_ring) for g in gens if g]
     basis = _buchberger(polys, work_ring)
-    # certify that every input generator reduces to zero
-    for g in polys:
-        if basis:
-            _, r = divide_with_remainder(g, basis)
-            if r:
-                raise AssertionError("input generator escaped its own basis")
-        elif g:
-            raise AssertionError("nonzero generator with empty basis")
     if work_ring != ring:
         basis = [b.map_to(ring) for b in basis]
     return tuple(basis)
@@ -148,10 +140,11 @@ def _buchberger(polys, ring, syzygies=None):
     With a ``syzygies`` list the input is tagged (see ``_tagged_run``):
     tag-free remainders go to that list, so only slot-0 pairs are formed,
     and the coprime criterion never fires on them because they share e_0.
+
+    Every basis is certified here, where it is made: each input must
+    reduce by it to zero, or in a tagged run to a tag-free remainder.
     """
     f = _interreduce(polys, syzygies)
-    if not f:
-        return []
     key = ring.order.key
     lm = [p.LM for p in f]
 
@@ -213,6 +206,10 @@ def _buchberger(polys, ring, syzygies=None):
                if not any(q is not p and monomial_divides(q.LM, p.LM) for q in minimal)]
     reduced = _interreduce(minimal)
     reduced.sort(key=lambda p: key(p.LM), reverse=True)
+    for p in polys:
+        _, r = divide_with_remainder(p, reduced)
+        if r and (syzygies is None or r.LM[0]):
+            raise AssertionError("input generator escaped its own basis")
     return reduced
 
 
@@ -267,11 +264,6 @@ def _tagged_run(gens, ambient: Ideal):
     polys += [e[0] * d.map_to(tagged) for d in ambient.generators]
     found: list = []
     basis = _buchberger(polys, tagged, found)
-    # certify: every tagged input reduces to a tag-free remainder
-    for p in polys:
-        _, r = divide_with_remainder(p, basis)
-        if r and r.LM[0]:
-            raise AssertionError("tagged generator escaped its own basis")
     return tagged, basis, found
 
 
@@ -280,61 +272,38 @@ def _untag(s: Polynomial, width: int, ring: PolyRing):
     return tuple(s.coefficient_in(j, 1).map_to(ring) for j in range(1, width))
 
 
-class SyzygyModule:
-    """Generators of all relations among a list of ring elements, taken
-    modulo an ambient defining ideal."""
-
-    def __init__(self, size: int, vectors):
-        self.size = size
-        self.vectors = tuple(tuple(v) for v in vectors)
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __repr__(self):
-        return f"SyzygyModule(size={self.size}, {len(self.vectors)} generators)"
-
-
-def syzygies(gens, ambient: Ideal) -> SyzygyModule:
-    """All vectors (a_0..a_t) with sum(a_j g_j) in the ambient ideal."""
-    gens = list(gens)
-    for g in gens:
-        if g.ring != ambient.ring:
-            raise RingMismatch("generators and ambient ideal disagree on ring")
-    tagged, _, found = _tagged_run(gens, ambient)
-    found.sort(key=lambda s: tagged.order.key(s.LM), reverse=True)
-    return SyzygyModule(len(gens), [_untag(s, 1 + len(gens), ambient.ring)
-                                    for s in found])
+def syzygies(gens, ambient: Ideal):
+    """All vectors (a_0..a_t) with sum(a_j g_j) in the ambient ideal, as a
+    tuple of coefficient tuples."""
+    return lift_all([], gens, ambient)[1]
 
 
 def lift(p: Polynomial, gens, ambient: Ideal):
     """Coefficients c_j with p - sum(c_j g_j) in the ambient ideal."""
-    (coeffs,) = lift_all([p], gens, ambient)
+    (coeffs,), _ = lift_all([p], gens, ambient)
     if coeffs is None:
         raise NotAMember(f"{p} is not in the ideal generated by the lift targets")
     return coeffs
 
 
 def lift_all(targets, gens, ambient: Ideal):
-    """``lift`` of every target against one tagged basis of ``gens``;
-    None in place of the coefficients of a target outside the ideal."""
+    """``lift`` of every target and the ``syzygies`` of ``gens``, from one
+    tagged run: (lifts, syzygies), with None in place of the coefficients
+    of a target outside the ideal."""
     targets, gens = list(targets), list(gens)
-    for p in targets:
+    for p in targets + gens:
         if p.ring != ambient.ring:
             raise RingMismatch("element and ambient ideal disagree on ring")
-    if not targets:
-        return []
-    tagged, basis, _ = _tagged_run(gens, ambient)
+    tagged, basis, found = _tagged_run(gens, ambient)
+    width = 1 + len(gens)
     e0 = tagged.var(tagged.variables[0])
-    out = []
+    lifts = []
     for p in targets:
         _, r = divide_with_remainder(e0 * p.map_to(tagged), basis)
-        out.append(None if r and r.LM[0] else
-                   [-c for c in _untag(r, 1 + len(gens), ambient.ring)])
-    return out
+        lifts.append(None if r and r.LM[0] else
+                     [-c for c in _untag(r, width, ambient.ring)])
+    found.sort(key=lambda s: tagged.order.key(s.LM), reverse=True)
+    return lifts, tuple(_untag(s, width, ambient.ring) for s in found)
 
 
 # -- elimination and dimension --------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from .groebner import Ideal, contract, lift_all, normal_form, syzygies
+from .groebner import Ideal, contract, lift_all, normal_form
 from .idealops import (
     QuotientRingContext,
     annihilator,
@@ -212,7 +212,10 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
     """Hom_R(I, I) = (1/f) (fI : I) presented by numerators over f.
 
     ``f`` is a nonzerodivisor: a non-split SplitDecision, whose zero
-    annihilator was already computed, or a bare polynomial, checked here."""
+    annihilator was already computed, or a bare polynomial, checked here.
+    Because f is a nonzerodivisor modulo D, sum(c_j f a_j) lies in D exactly
+    when sum(c_j a_j) does, so the one tagged run that lifts the products
+    a_i a_j against f a_0..f a_t also yields the numerators' syzygies."""
     ctx = R.ctx
     ring = R.ring
     if isinstance(f, SplitDecision):
@@ -232,13 +235,13 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
         if r and r not in numerators:
             numerators.append(r)
 
-    linear = tuple(tuple(v) for v in syzygies(numerators, ctx.defining))
     scaled = [ctx.nf(f * a) for a in numerators]
     pairs = [(i, j) for i in range(1, len(numerators))
              for j in range(i, len(numerators))]
     products = [ctx.nf(numerators[i] * numerators[j]) for i, j in pairs]
+    lifts, linear = lift_all(products, scaled, ctx.defining)
     quadratic = {}
-    for (i, j), coeffs in zip(pairs, lift_all(products, scaled, ctx.defining)):
+    for (i, j), coeffs in zip(pairs, lifts):
         if coeffs is None:
             raise LiftFailed(
                 f"product of numerators {i},{j} escaped f*Hom; "

@@ -3,7 +3,7 @@
 Nothing here goes through the package's Groebner machinery: comparisons
 come from the textbook definitions, memberships from explicit
 certificates or re-expansion, and syzygy completeness from a dense
-degree-by-degree linear solve over the rationals.  The division
+degree-by-degree linear solve over the rationals or GF(p).  The division
 reference works on dicts of ``FieldElement`` coefficients and finds
 leading terms with the order's ascending ``key``, so it shares neither
 the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
@@ -140,62 +140,52 @@ def reference_spoly(f, g):
     return _sorted_terms(out, order)
 
 
-def solve_linear(rows, rhs):
-    """Solve A x = b over Fraction; returns a solution or None."""
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        x[c] = m[row][-1]
-    return x
+def _scalars(p):
+    """(coerce, inverse, canonical) for exact scalars: Fractions when p is
+    0, else plain ints reduced modulo the prime p."""
+    if not p:
+        return Fraction, lambda a: 1 / a, lambda a: a
+    return lambda v: int(v) % p, lambda a: pow(a, -1, p), lambda a: a % p
 
 
-def nullspace(rows, ncols):
-    """Basis of the nullspace of the matrix over Fraction."""
-    m = [list(map(Fraction, row)) for row in rows]
+def _row_reduce(m, ncols, p):
+    """Reduced row echelon form of ``m`` in place over its first ``ncols``
+    columns; returns the pivots as {column: row}."""
+    _, inverse, canon = _scalars(p)
     nrows = len(m)
     pivots = {}
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        inv = inverse(m[r][c])
+        m[r] = [canon(v * inv) for v in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                m[i] = [canon(a - factor * b) for a, b in zip(m[i], m[r])]
         pivots[c] = r
         r += 1
+    return pivots
+
+
+def nullspace(rows, ncols, p=0):
+    """Basis of the nullspace of the matrix over Fraction, or over GF(p)
+    for a prime p."""
+    coerce, _, canon = _scalars(p)
+    m = [list(map(coerce, row)) for row in rows]
+    pivots = _row_reduce(m, ncols, p)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
+        vec = [coerce(0)] * ncols
+        vec[c] = coerce(1)
         for pc, pr in pivots.items():
-            vec[pc] = -m[pr][c]
+            vec[pc] = canon(-m[pr][c])
         basis.append(vec)
     return basis
 
@@ -229,7 +219,7 @@ def brute_force_syzygies(gens, ambient_gens, degree):
     rows = [[columns[j][i] for j in range(len(columns))]
             for i in range(len(target_monos))]
     vectors = []
-    for vec in nullspace(rows, len(columns)):
+    for vec in nullspace(rows, len(columns), ring.field.characteristic):
         parts = []
         for j in range(len(gens)):
             chunk = vec[j * len(monos):(j + 1) * len(monos)]
@@ -243,12 +233,20 @@ def in_module_span(vector, generators, ambient_gens, degree):
     """Is ``vector`` a polynomial combination (coefficient degree <=
     ``degree``) of the generator vectors, modulo componentwise multiples
     of the ambient generators?  Decided by a dense linear solve."""
-    ring = vector[0].ring
-    width = len(vector)
+    return all_in_module_span([vector], generators, ambient_gens, degree)
+
+
+def all_in_module_span(vectors, generators, ambient_gens, degree):
+    """``in_module_span`` for every one of ``vectors``, decided by one
+    elimination with a right-hand side per vector."""
+    if not vectors:
+        return True
+    ring = vectors[0][0].ring
+    width = len(vectors[0])
     monos = monomials_up_to(ring.nvars, degree)
-    max_deg = max([p.total_degree() for p in vector if p] + [0])
-    for gen in generators:
-        max_deg = max(max_deg, max([p.total_degree() for p in gen if p] + [0]))
+    max_deg = 0
+    for vec in list(vectors) + list(generators):
+        max_deg = max(max_deg, max([p.total_degree() for p in vec if p] + [0]))
     for d in ambient_gens:
         max_deg = max(max_deg, d.total_degree())
     target_deg = degree + max_deg
@@ -274,14 +272,21 @@ def in_module_span(vector, generators, ambient_gens, degree):
                 for mm, cc in shifted.terms:
                     col[slot * len(target_monos) + index[mm]] += cc.value
                 columns.append(col)
+    ncols = len(columns)
+    for vec in vectors:
+        rhs = [Fraction(0)] * nrows
+        for slot in range(width):
+            for mm, cc in vec[slot].terms:
+                rhs[slot * len(target_monos) + index[mm]] = cc.value
+        columns.append(rhs)
 
-    rhs = [Fraction(0)] * nrows
-    for slot in range(width):
-        for mm, cc in vector[slot].terms:
-            rhs[slot * len(target_monos) + index[mm]] = cc.value
-    rows = [[columns[j][i] for j in range(len(columns))]
-            for i in range(nrows)]
-    return solve_linear(rows, rhs) is not None
+    p = ring.field.characteristic
+    coerce = _scalars(p)[0]
+    m = [[coerce(col[i]) for col in columns] for i in range(nrows)]
+    rank = len(_row_reduce(m, ncols, p))
+    # consistent exactly when no zero row of the generator block carries a
+    # nonzero right-hand side
+    return not any(any(row[ncols:]) for row in m[rank:])
 
 
 def reference_quotient(I, f):

@@ -186,13 +186,16 @@ def test_lift_rejects_non_member(ring_xy):
 
 
 def test_lift_all_matches_lift(ring_xy):
-    # one tagged basis for several targets: members get the same lifts as
-    # one at a time, a non-member gets None, no target runs nothing
+    # one tagged run for several targets: members get the same lifts as
+    # one at a time, a non-member gets None, and the syzygies the run
+    # collects are those of ``syzygies``
     gens = [P(ring_xy, "x^2"), P(ring_xy, "y")]
     ambient = Ideal(ring_xy, [P(ring_xy, "y^2 - x^3")])
     targets = [P(ring_xy, "x^3 + y^2"), ring_xy.var("x"), ring_xy.zero,
                P(ring_xy, "x^2*y - 3*y")]
-    out = lift_all(targets, gens, ambient)
+    out, module = lift_all(targets, gens, ambient)
+    assert module == syzygies(gens, ambient)
+    assert module and all(isinstance(vec, tuple) for vec in module)
     for target, coeffs in zip(targets, out):
         if coeffs is None:
             with pytest.raises(NotAMember):
@@ -202,7 +205,28 @@ def test_lift_all_matches_lift(ring_xy):
             combo = sum((c * g for c, g in zip(coeffs, gens)), ring_xy.zero)
             assert ideal_member(target - combo, ambient)
     assert [c is None for c in out] == [False, True, False, False]
-    assert lift_all([], gens, ambient) == []
+    assert lift_all([], gens, ambient) == ([], module)
+
+
+def test_basis_certificate_catches_a_lost_element(monkeypatch, ring_xy):
+    # an interreduction that loses its last kept polynomial leaves a basis
+    # that an input escapes; the certificate where the basis is made must
+    # fire in untagged runs (zero remainder) and tagged runs (tag-free
+    # remainder) alike
+    groebner = importlib.import_module("closurekit.groebner")
+    real = groebner._interreduce
+    monkeypatch.setattr(groebner, "_interreduce",
+                        lambda *args: real(*args)[:-1])
+    x, y = ring_xy.gens()
+    # y lacks variable 0, which a tag-free remainder would lack: an untagged
+    # run must still refuse it
+    for gens in ([x, y], [y]):
+        with pytest.raises(AssertionError, match="escaped its own basis"):
+            Ideal(ring_xy, gens).groebner_basis()
+    with pytest.raises(AssertionError, match="escaped its own basis"):
+        syzygies([x, y], Ideal(ring_xy, []))
+    with pytest.raises(AssertionError, match="escaped its own basis"):
+        lift(x, [x, y], Ideal(ring_xy, []))
 
 
 def test_eliminate_parabola(ring_xyz):
