@@ -5,12 +5,13 @@ Only this module fills an ideal's memo without computing: ``Ideal.canonical``,
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
-run on the same engine: each vector (g_j, e_j) or (d_k, 0) becomes the
-polynomial e_0*g_j + e_{1+j} or e_0*d_k in ring[e_0..e_t], under a block
-order whose lex tag block dominates (position over term, slot 0 first).
-Remainders without e_0 in their leading monomial are syzygies; they are
-collected and never join the basis (Schreyer), and reducing e_0*p by the
-basis reads off a lift of p.
+run on the same engine, on vectors of s entries: the j-th vector
+(g_j1..g_js) becomes E_1*g_j1 + ... + E_s*g_js + e_j in ring[E, e], and
+each ambient generator d enters once per slot, as E_i*d, under a block
+order whose lex tag block dominates, slot tags first (position over term).
+Pairs form within a slot only; remainders without a slot tag are
+syzygies, collected and never in the basis (Schreyer), and reducing
+sum(E_i*p_i) by the basis reads off a lift of (p_1..p_s).
 """
 from __future__ import annotations
 
@@ -78,28 +79,28 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _set_aside(r, syzygies) -> bool:
-    """In a tagged run (``syzygies`` is a list), a remainder whose leading
-    monomial lacks e_0, variable 0, is a syzygy: collect it, so that it
-    never joins the basis."""
-    if syzygies is None or r.LM[0]:
+def _set_aside(r, syzygies, slots) -> bool:
+    """In a tagged run (``slots`` > 0), a remainder with no slot tag in its
+    leading monomial is a syzygy: collect it, so that it never joins the
+    basis."""
+    if not slots or any(r.LM[:slots]):
         return False
     syzygies.append(r)
     return True
 
 
-def _interreduce(polys, syzygies=None):
+def _interreduce(polys, syzygies=None, slots=0):
     """One interreduction pass: each polynomial is divided once by the ones
     already kept and the ones still to come, and its monic remainder is
     kept.  ``_buchberger`` runs it on its input, which then only has to
     generate the ideal, and on its minimal basis, where the leading
     monomials stay and each element becomes the unique reduced one."""
-    todo = [p.monic() for p in polys if p and not _set_aside(p, syzygies)]
+    todo = [p.monic() for p in polys if p and not _set_aside(p, syzygies, slots)]
     kept = []
     for i, p in enumerate(todo):
         others = kept + todo[i + 1:]
         r = divide_with_remainder(p, others)[1] if others else p
-        if r and not _set_aside(r, syzygies):
+        if r and not _set_aside(r, syzygies, slots):
             kept.append(r.monic())
     return kept
 
@@ -127,7 +128,7 @@ def _reduced_groebner(gens, ring, order):
     return tuple(basis)
 
 
-def _buchberger(polys, ring, syzygies=None):
+def _buchberger(polys, ring, syzygies=None, slots=0):
     """Reduced Groebner basis, Gebauer-Moeller pair update with
     normal-strategy selection (smallest lcm first, ties by index).
 
@@ -137,14 +138,14 @@ def _buchberger(polys, ring, syzygies=None):
     pairs wait in a heap keyed by that lcm, and a pair the chain
     criterion discards is dropped from ``CP`` and skipped when popped.
 
-    With a ``syzygies`` list the input is tagged (see ``_tagged_run``):
-    tag-free remainders go to that list, so only slot-0 pairs are formed,
-    and the coprime criterion never fires on them because they share e_0.
+    With ``slots`` s > 0 the input is tagged (see ``_tagged_run``):
+    remainders with no slot tag go to the ``syzygies`` list, and only
+    same-slot pairs are formed, which the coprime criterion never drops.
 
     Every basis is certified here, where it is made: each input must
-    reduce by it to zero, or in a tagged run to a tag-free remainder.
+    reduce by it to zero, or in a tagged run to a syzygy.
     """
-    f = _interreduce(polys, syzygies)
+    f = _interreduce(polys, syzygies, slots)
     key = ring.order.key
     lm = [p.LM for p in f]
 
@@ -155,10 +156,11 @@ def _buchberger(polys, ring, syzygies=None):
     def update(h):
         nonlocal G
         mh = lm[h]
-        lcm_h = {g: monomial_lcm(mh, lm[g]) for g in G}
+        C = {g for g in G if lm[g][:slots] == mh[:slots]} if slots else set(G)
+        lcm_h = {g: monomial_lcm(mh, lm[g]) for g in C}
         # new pairs (h, g): keep the coprime ones for now, and those whose
         # lcm no other new pair's lcm divides (chain criterion)
-        C, D = set(G), []
+        D = []
         while C:
             g = C.pop()
             lcm_hg = lcm_h[g]
@@ -192,7 +194,7 @@ def _buchberger(polys, ring, syzygies=None):
         if reducers is None:
             reducers = [f[g] for g in sorted(G, key=lambda g: key(lm[g]))]
         _, r = divide_with_remainder(_spoly(f[i], f[j]), reducers)
-        if r and not _set_aside(r, syzygies):
+        if r and not _set_aside(r, syzygies, slots):
             f.append(r.monic())
             lm.append(r.LM)
             update(len(f) - 1)
@@ -208,7 +210,7 @@ def _buchberger(polys, ring, syzygies=None):
     reduced.sort(key=lambda p: key(p.LM), reverse=True)
     for p in polys:
         _, r = divide_with_remainder(p, reduced)
-        if r and (syzygies is None or r.LM[0]):
+        if r and (not slots or any(r.LM[:slots])):
             raise AssertionError("input generator escaped its own basis")
     return reduced
 
@@ -247,34 +249,35 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
 
 # -- syzygies and lifts on tagged polynomials -----------------------------
 
-def _tagged_run(gens, ambient: Ideal):
-    """Schreyer run on e_0*g_j + e_{1+j} and e_0*d_k in ring[e_0..e_t].
+def _slotted(vector, e):
+    """E_1*p_1 + ... + E_s*p_s for the slot tags ``e``; a bare polynomial
+    is a vector of length 1."""
+    vector = (vector,) if isinstance(vector, Polynomial) else vector
+    return sum((tag * p.map_to(tag.ring) for tag, p in zip(e, vector)), e[0].ring.zero)
 
-    Returns the tagged ring, the basis (every element has e_0 in its
-    leading monomial) and the collected tag-free syzygies."""
+
+def _tagged_run(gens, ambient: Ideal, slots: int = 1):
+    """Schreyer run on E_1*g_j1 + ... + E_s*g_js + e_j and E_i*d_k in
+    ring[E_1..E_s, e_1..e_t].  Returns the tagged ring, the basis (each
+    leading monomial has a slot tag) and the syzygies (none has one)."""
     ring = ambient.ring
     tags = []
-    for j in range(len(gens) + 1):
+    for j in range(slots + len(gens)):
         tags.append(fresh_name(ring.variables + tuple(tags), f"_e{j}"))
     width = len(tags)
     tagged = PolyRing(ring.field, tuple(tags) + ring.variables, Block(
         (range(width), LEX), (range(width, width + ring.nvars), ring.order)))
     e = [tagged.var(name) for name in tags]
-    polys = [e[0] * g.map_to(tagged) + e[1 + j] for j, g in enumerate(gens)]
-    polys += [e[0] * d.map_to(tagged) for d in ambient.generators]
+    polys = [_slotted(g, e[:slots]) + e[slots + j] for j, g in enumerate(gens)]
+    polys += [tag * d.map_to(tagged) for tag in e[:slots] for d in ambient.generators]
     found: list = []
-    basis = _buchberger(polys, tagged, found)
+    basis = _buchberger(polys, tagged, found, slots)
     return tagged, basis, found
 
 
-def _untag(s: Polynomial, width: int, ring: PolyRing):
-    """Slots 1..t of a tag-free tagged polynomial, as elements of ``ring``."""
-    return tuple(s.coefficient_in(j, 1).map_to(ring) for j in range(1, width))
-
-
 def syzygies(gens, ambient: Ideal):
-    """All vectors (a_0..a_t) with sum(a_j g_j) in the ambient ideal, as a
-    tuple of coefficient tuples."""
+    """All coefficient tuples (a_1..a_t) with sum(a_j g_j) in the ambient
+    ideal, in every entry when the g_j are vectors of one length."""
     return lift_all([], gens, ambient)[1]
 
 
@@ -289,21 +292,27 @@ def lift(p: Polynomial, gens, ambient: Ideal):
 def lift_all(targets, gens, ambient: Ideal):
     """``lift`` of every target and the ``syzygies`` of ``gens``, from one
     tagged run: (lifts, syzygies), with None in place of the coefficients
-    of a target outside the ideal."""
+    of a target outside the module.  Targets and generators are all bare
+    polynomials or all vectors of one length, the number of slots."""
     targets, gens = list(targets), list(gens)
-    for p in targets + gens:
-        if p.ring != ambient.ring:
-            raise RingMismatch("element and ambient ideal disagree on ring")
-    tagged, basis, found = _tagged_run(gens, ambient)
-    width = 1 + len(gens)
-    e0 = tagged.var(tagged.variables[0])
+    vectors = [(p,) if isinstance(p, Polynomial) else p for p in targets + gens]
+    (slots,) = {len(v) for v in vectors} or {1}     # ValueError on mixed lengths
+    if any(p.ring != ambient.ring for v in vectors for p in v):
+        raise RingMismatch("element and ambient ideal disagree on ring")
+    tagged, basis, found = _tagged_run(gens, ambient, slots)
+    e = [tagged.var(name) for name in tagged.variables[:slots]]
+
+    def untag(s):   # the coefficients of e_1..e_t, back in the ring
+        return tuple(s.coefficient_in(j, 1).map_to(ambient.ring)
+                     for j in range(slots, slots + len(gens)))
+
     lifts = []
     for p in targets:
-        _, r = divide_with_remainder(e0 * p.map_to(tagged), basis)
-        lifts.append(None if r and r.LM[0] else
-                     [-c for c in _untag(r, width, ambient.ring)])
+        _, r = divide_with_remainder(_slotted(p, e), basis)
+        lifts.append(None if r and any(r.LM[:slots]) else
+                     [-c for c in untag(r)])
     found.sort(key=lambda s: tagged.order.key(s.LM), reverse=True)
-    return lifts, tuple(_untag(s, width, ambient.ring) for s in found)
+    return lifts, tuple(untag(s) for s in found)
 
 
 # -- elimination and dimension --------------------------------------------

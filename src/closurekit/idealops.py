@@ -1,9 +1,10 @@
 """Ideal-theoretic operations: quotient, annihilator, saturation,
 intersection, radical membership, radicals, and the Jacobian test ideal.
 
-Colon ideals are syzygy reads: the entries a of the syzygies a*f ∈ I,
-from one tagged run of the engine, generate I : f.  ``intersect`` and
-``saturation`` contract an ideal in one adjoined variable to the ring.
+Colon ideals are syzygy reads: I : (g_1..g_s) is the kernel of
+R -> (R/I)^s, h -> (h*g_1..h*g_s), read off one tagged run of the engine.
+``intersect`` and ``saturation`` contract an ideal in one adjoined
+variable to the ring.
 
 Radical membership f in sqrt(I) first looks for a witness exponent:
 a zero normal form of f^e, e <= _WITNESS_CAP, against I's memoized
@@ -104,31 +105,15 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return contract(Ideal(ext, gens), ring)
 
 
-def _quotient_by_element(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f) for a single element f: the entries a of the syzygies
-    a*f in I, read off one tagged run of the engine."""
-    return Ideal(I.ring, [a for (a,) in syzygies([f], I)])
-
-
 def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
     """Generators of {h : h*J ⊆ I + D} reduced modulo D."""
     if I.ring != ctx.ring or J.ring != ctx.ring:
         raise RingMismatch("quotient arguments live in different rings")
-    ring = ctx.ring
-    ambient = Ideal(ring, list(I.generators) + list(ctx.defining.generators))
-    parts = []
-    for f in J.generators:
-        f = ctx.nf(f)
-        if f.is_zero():
-            continue
-        parts.append(_quotient_by_element(ambient, f))
-    if not parts:
-        # J vanishes modulo D, so every element qualifies
-        return Ideal(ring, [ring.one])
-    total = parts[0]
-    for part in parts[1:]:
-        total = intersect(total, part)
-    return Ideal(ring, ctx.reduce_all(total.groebner_basis()))
+    # J ⊆ D: the zero vector has the syzygy 1, so every element qualifies
+    vector = ctx.reduce_all(J.generators) or [ctx.ring.zero]
+    ambient = Ideal(ctx.ring, list(I.generators) + list(ctx.defining.generators))
+    quo = Ideal(ctx.ring, [a for (a,) in syzygies([vector], ambient)])
+    return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
 
 
 def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
@@ -136,7 +121,7 @@ def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
     syzygies of f modulo D (f = 0 has the syzygy 1)."""
     if f.ring != ctx.ring:
         raise RingMismatch("element lives in a different ring")
-    quo = _quotient_by_element(ctx.defining, ctx.nf(f))
+    quo = Ideal(ctx.ring, [a for (a,) in syzygies([ctx.nf(f)], ctx.defining)])
     return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
 
 

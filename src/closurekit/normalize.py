@@ -215,7 +215,9 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
     annihilator was already computed, or a bare polynomial, checked here.
     Because f is a nonzerodivisor modulo D, sum(c_j f a_j) lies in D exactly
     when sum(c_j a_j) does, so the one tagged run that lifts the products
-    a_i a_j against f a_0..f a_t also yields the numerators' syzygies."""
+    a_i a_j against f a_0..f a_t also yields the numerators' syzygies.
+    At a fixed point (t = 0) nothing is lifted: ``linear`` and ``quadratic``
+    are empty."""
     ctx = R.ctx
     ring = R.ring
     if isinstance(f, SplitDecision):
@@ -234,6 +236,8 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
         r = normal_form(g, modulus)
         if r and r not in numerators:
             numerators.append(r)
+    if len(numerators) == 1:
+        return EndoPresentation(ctx, f, (f,), (), {})
 
     scaled = [ctx.nf(f * a) for a in numerators]
     pairs = [(i, j) for i in range(1, len(numerators))
@@ -389,6 +393,7 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         lies in its component's defining ideal;
     (d) every tower denominator is a nonzerodivisor at its level.
     """
+    _require(bool(result.components), "no output component, but the input ring is nonzero")
     report = VerificationReport()
     eliminated = []
 

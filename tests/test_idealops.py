@@ -143,15 +143,19 @@ def _with_defining(I, ctx):
     return Ideal(ctx.ring, list(I.generators) + list(ctx.defining.generators))
 
 
-def _check_against_reference(ctx, I, f):
-    """annihilator(f) and ideal_quotient(I, (f)) against the t-trick
-    quotient, both taken with D added back."""
+def _check_against_reference(ctx, I, *J):
+    """annihilator(f) for each generator f of J, and ideal_quotient(I, J),
+    against the t-trick quotient, both taken with D added back; the
+    reference for J is the intersection of the quotients by its generators."""
     D = ctx.defining
-    ann = annihilator(f, ctx)
-    assert ideals_equal(_with_defining(ann, ctx), reference_quotient(D, f))
-    quo = ideal_quotient(I, Ideal(ctx.ring, [f]), ctx)
-    assert ideals_equal(_with_defining(quo, ctx),
-                        reference_quotient(_with_defining(I, ctx), f))
+    for f in J:
+        ann = annihilator(f, ctx)
+        assert ideals_equal(_with_defining(ann, ctx), reference_quotient(D, f))
+    quo = ideal_quotient(I, Ideal(ctx.ring, list(J)), ctx)
+    ref = reference_quotient(_with_defining(I, ctx), J[0])
+    for f in J[1:]:
+        ref = intersect(ref, reference_quotient(_with_defining(I, ctx), f))
+    assert ideals_equal(_with_defining(quo, ctx), ref)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
@@ -159,15 +163,18 @@ def _check_against_reference(ctx, I, f):
 def test_colon_ideals_match_reference_quotient(field, order):
     R = PolyRing(field, ["x", "y", "z"], order)
     rng = random.Random(7310)
+    # J's extra generators come from their own stream, so that the draws of
+    # D, I and the single generators stay the same
+    j_rng = random.Random(7311)
     monos = monomials_up_to(3, 2)
 
-    def rand_poly():
+    def rand_poly(rng=rng):
         d = {}
         for _ in range(rng.randint(1, 3)):
             d[rng.choice(monos)] = field.element(rng.choice((1, -1, 2, -3)))
         return R.from_dict(d)
 
-    checked = 0
+    checked = {1: 0, 2: 0, 3: 0, 4: 0}
     for _ in range(12):
         g1, g2, g3 = rand_poly(), rand_poly(), rand_poly()
         # a reducible D, so that g1 and g2 tend to be zerodivisors
@@ -175,12 +182,21 @@ def test_colon_ideals_match_reference_quotient(field, order):
         if not all(gens) or Ideal(R, gens).contains_one():
             continue
         ctx = QuotientRingContext(R, Ideal(R, gens))
-        I = Ideal(R, [rand_poly(), rand_poly()])
+        i1, i2 = rand_poly(), rand_poly()
+        I = Ideal(R, [i1, i2])
         for f in (g1, g2, rand_poly() * g2):
             if f and not ctx.is_zero(f):
                 _check_against_reference(ctx, I, f)
-                checked += 1
-    assert checked >= 20
+                checked[1] += 1
+        # J with 2-4 generators, one syzygy run with a slot for each; when
+        # J leads with a member of I, that slot reduces to zero modulo
+        # I + D and the run's basis leads in the later slots
+        first = rand_poly(j_rng) * (i1 if j_rng.random() < 0.5 else R.one)
+        J = [first, g1, g2 + rand_poly(j_rng), rand_poly(j_rng)][:j_rng.randint(2, 4)]
+        if all(J):
+            _check_against_reference(ctx, I, *J)
+            checked[len(J)] += 1
+    assert checked[1] >= 20 and all(checked.values())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])

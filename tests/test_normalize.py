@@ -308,6 +308,13 @@ def test_verify_rejects_a_dropped_component(ring_xy):
         verify_result(pres, res)
 
 
+def test_verify_rejects_an_empty_result(ring_xy):
+    # D is proper, so the input ring has at least one component
+    pres = presentation(ring_xy, [P(ring_xy, "x*y")])
+    with pytest.raises(VerificationFailed, match="no output component"):
+        verify_result(pres, NormalizationResult([]))
+
+
 def test_verify_rejects_a_component_off_the_input(ring_xy):
     # the line x = 1 is normal but does not contain x*y
     pres, res = _split_cross(ring_xy)
@@ -440,6 +447,13 @@ def test_one_tagged_basis_for_all_structure_constant_lifts(monkeypatch):
     assert res.hom_steps() == 2
     # one run for the syzygies and all lifts
     assert per_call == [(1, 1), (2, 1)]
+    # the A1 cone is normal but singular: it leaves through hom-equal, where
+    # no fresh numerator appears and nothing is lifted
+    per_call.clear()
+    cone = PolyRing(QQ, ["x", "y", "z"])
+    res = normalize(presentation(cone, [P(cone, "x*y - z^2")]))
+    assert res.trace[-1] == "FixedPoint component=0 reason=hom-equal"
+    assert per_call == [(0, 0)]
 
 
 def test_step_kinds(ring_xy, ring_xyz):
