@@ -1,7 +1,10 @@
 """Buchberger's algorithm, reduced bases, normal forms, syzygies, lifts,
 elimination and contraction, and Krull dimension of leading-term ideals.
-Only this module fills an ideal's memo without computing: ``Ideal.canonical``,
-``eliminate`` and ``contract`` hold the certified reduced basis they have.
+Only this module fills an ideal's memo without a fresh run:
+``Ideal.canonical``, ``eliminate`` and ``contract`` hold the certified
+reduced basis they have, and ``I.canonical(extra)`` grows the basis of
+I + (extra) from I's.  The Jacobian test ideal is the one sum built afresh:
+its generators stay D's followed by the minors, the list perfbench counts.
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
@@ -62,10 +65,15 @@ class Ideal:
             self._bases[order.name] = cached
         return cached
 
-    def canonical(self) -> "Ideal":
-        """The same ideal, generated by and holding its reduced basis."""
-        out = Ideal(self.ring, self.groebner_basis())
-        out._bases.update(self._bases)
+    def canonical(self, extra=()) -> "Ideal":
+        """This ideal plus (extra), generated by and holding its reduced basis
+        in the ring's order.  The sum grows from the held basis; with no
+        extras it is this ideal, and the bases for other orders are kept."""
+        basis, extra = self.groebner_basis(), Ideal(self.ring, extra).generators
+        if extra:
+            basis = tuple(_buchberger(extra, self.ring, held=basis))
+        out = Ideal(self.ring, basis)
+        out._bases.update({self.ring.order.name: basis} if extra else self._bases)
         return out
 
     def is_zero(self) -> bool:
@@ -89,16 +97,16 @@ def _set_aside(r, syzygies, slots) -> bool:
     return True
 
 
-def _interreduce(polys, syzygies=None, slots=0):
-    """One interreduction pass: each polynomial is divided once by the ones
-    already kept and the ones still to come, and its monic remainder is
-    kept.  ``_buchberger`` runs it on its input, which then only has to
-    generate the ideal, and on its minimal basis, where the leading
-    monomials stay and each element becomes the unique reduced one."""
+def _interreduce(polys, syzygies=None, slots=0, held=()):
+    """One interreduction pass: each polynomial is divided once by ``held``,
+    the ones already kept and the ones still to come, and its monic
+    remainder is kept.  ``_buchberger`` runs it on its input, which then
+    only has to generate the ideal, and on its minimal basis, where the
+    leading monomials stay and each element becomes the unique reduced one."""
     todo = [p.monic() for p in polys if p and not _set_aside(p, syzygies, slots)]
     kept = []
     for i, p in enumerate(todo):
-        others = kept + todo[i + 1:]
+        others = [*held, *kept, *todo[i + 1:]]
         r = divide_with_remainder(p, others)[1] if others else p
         if r and not _set_aside(r, syzygies, slots):
             kept.append(r.monic())
@@ -128,12 +136,15 @@ def _reduced_groebner(gens, ring, order):
     return tuple(basis)
 
 
-def _buchberger(polys, ring, syzygies=None, slots=0):
+def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
     """Reduced Groebner basis, Gebauer-Moeller pair update with
     normal-strategy selection (smallest lcm first, ties by index).
 
     One ``_interreduce`` pass reduces the input by itself; after the pair
     loop the minimal basis goes through the same pass as tail reduction.
+    A sum I + (polys) grows from I's reduced basis ``held``: G starts at it
+    with no pairs among its elements, whose S-polynomials reduce to zero,
+    and only the input, reduced by it too, goes through the pair update.
     Each pair keeps the lcm of its leading monomials from creation on;
     pairs wait in a heap keyed by that lcm, and a pair the chain
     criterion discards is dropped from ``CP`` and skipped when popped.
@@ -142,14 +153,14 @@ def _buchberger(polys, ring, syzygies=None, slots=0):
     remainders with no slot tag go to the ``syzygies`` list, and only
     same-slot pairs are formed, which the coprime criterion never drops.
 
-    Every basis is certified here, where it is made: each input must
-    reduce by it to zero, or in a tagged run to a syzygy.
+    Every basis is certified here, where it is made: each input and held
+    element must reduce by it to zero, or in a tagged run to a syzygy.
     """
-    f = _interreduce(polys, syzygies, slots)
+    f = [*held, *_interreduce(polys, syzygies, slots, held)]
     key = ring.order.key
     lm = [p.LM for p in f]
 
-    G: set = set()      # indices of the current basis
+    G = set(range(len(held)))  # indices of the current basis
     CP: dict = {}       # live critical pairs (i, j) -> lcm of their LMs
     heap: list = []     # (key(lcm), i, j) for every pair ever created
 
@@ -183,7 +194,7 @@ def _buchberger(polys, ring, syzygies=None, slots=0):
         G = {g for g in G if not monomial_divides(mh, lm[g])}
         G.add(h)
 
-    for i in sorted(range(len(f)), key=lambda k: key(lm[k])):
+    for i in sorted(range(len(held), len(f)), key=lambda k: key(lm[k])):
         update(i)
 
     reducers = None     # G sorted by leading monomial, rebuilt when G changes
@@ -208,7 +219,7 @@ def _buchberger(polys, ring, syzygies=None, slots=0):
                if not any(q is not p and monomial_divides(q.LM, p.LM) for q in minimal)]
     reduced = _interreduce(minimal)
     reduced.sort(key=lambda p: key(p.LM), reverse=True)
-    for p in polys:
+    for p in chain(held, polys):
         _, r = divide_with_remainder(p, reduced)
         if r and (not slots or any(r.LM[:slots])):
             raise AssertionError("input generator escaped its own basis")

@@ -293,7 +293,7 @@ def _radical_zerodim(I: Ideal, char: int) -> Ideal:
                 f"no pure power of {name} leads the basis; ideal is not zero-dimensional")
     extra = [_squarefree_part_field(_minimal_polynomial(I, i), i, char)
              for i in range(ring.nvars)]
-    return Ideal(ring, list(I.generators) + extra).canonical()
+    return I.canonical(extra)
 
 
 def _dep_leading_data(g: Polynomial, dep: tuple, block: Block):
@@ -350,11 +350,10 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
         for h in junk:
             note(h)
 
-    J = Ideal(ring, list(I.generators) + extra)
-    for g in J.groebner_basis(block):
+    contracted = I.canonical(extra)
+    for g in contracted.groebner_basis(block):
         note(_dep_leading_data(g, dep, block))
 
-    contracted = J.canonical()
     for h in factors:
         contracted = saturation(contracted, h)
     if not factors:
@@ -363,8 +362,7 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
     h_total = ring.one
     for h in factors:
         h_total = h_total * h
-    rest = _radical_general(
-        Ideal(ring, list(I.generators) + [h_total]), char, depth + 1)
+    rest = _radical_general(I.canonical([h_total]), char, depth + 1)
     if rest.contains_one():
         return contracted
     return intersect(contracted, rest)
@@ -447,32 +445,22 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
         """Extend the row prefix owning ``parent`` (of length k - 1) by
         each row from ``start`` on; True once a constant minor is found."""
         for r in range(start, len(gens) - c + k):
-            if k < c:
-                table = {}
-                for cols in combinations(range(ring.nvars), k):
-                    det = _expand_last_row(ring, jac[r], parent, cols)
-                    if det and k > 1:
-                        det = ctx.nf(det)
-                    if det:
-                        table[cols] = det
-                if table and walk(r + 1, table, k + 1):
-                    return True
-                continue
-            for cols in combinations(range(ring.nvars), c):
+            table = {}
+            for cols in combinations(range(ring.nvars), k):
                 det = _expand_last_row(ring, jac[r], parent, cols)
+                if det and k > 1:
+                    det = ctx.nf(det)
                 if not det:
                     continue
-                if c > 1:
-                    det = ctx.nf(det)
-                    if not det:
-                        continue
-                key = det.monic()
-                if key in seen:
-                    continue
-                seen.add(key)
-                minors.append(det)
-                if det.is_constant():
-                    return True
+                if k < c:
+                    table[cols] = det
+                elif (key := det.monic()) not in seen:
+                    seen.add(key)
+                    minors.append(det)
+                    if det.is_constant():
+                        return True
+            if table and walk(r + 1, table, k + 1):
+                return True
         return False
 
     walk(0, {(): ring.one}, 1)

@@ -38,7 +38,7 @@ from .idealops import (
     radical,
     radical_membership,
 )
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial, PolyRing, fresh_name
 
 COMBO_SEED = 7
 COMBO_COUNT = 8
@@ -188,11 +188,10 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     if not gens:
         raise EmptyIdeal("test ideal is zero in the quotient ring")
     D = R.defining
-    ring = R.ring
     base_dim = dimension(D)
     first_nzd = None
     for f in candidates:
-        if dimension(Ideal(ring, list(D.generators) + [f])) == base_dim:
+        if dimension(D.canonical([f])) == base_dim:
             ann = annihilator(f, R.ctx)
             if ann.is_zero():
                 raise AssertionError("dimension flagged a nonzerodivisor")
@@ -230,7 +229,7 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
             raise NotNonZeroDivisor(f"{f} has a nonzero annihilator")
     f_times_I = Ideal(ring, [ctx.nf(f * g) for g in I.generators])
     numerator_ideal = ideal_quotient(f_times_I, I, ctx)
-    modulus = Ideal(ring, [f] + list(ctx.defining.generators))
+    modulus = ctx.defining.canonical([f])
     numerators = [f]
     for g in numerator_ideal.generators:
         r = normal_form(g, modulus)
@@ -261,7 +260,9 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
     if t < 1:
         raise ValueError("nothing to adjoin for a fixed point")
     level = R.level + 1
-    names = [f"T{level}_{i}" for i in range(1, t + 1)]
+    names = []      # T{level}_{i}, unless the ring already has that name
+    for i in range(1, t + 1):
+        names.append(fresh_name(R.ring.variables + tuple(names), f"T{level}_{i}"))
     new_ring = R.ring.extend(names)
     xs = [new_ring.one] + [new_ring.var(n) for n in names]
 
@@ -297,15 +298,13 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
 
 
 def _split_component(comp: Component, decision: SplitDecision, next_index):
-    ring = comp.presentation.ring
-    base = list(comp.presentation.defining.generators)
     children = []
-    for extra in ([decision.f], list(decision.annihilator_ideal.generators)):
-        ideal = Ideal(ring, base + extra).canonical()
+    for extra in ([decision.f], decision.annihilator_ideal.generators):
+        ideal = comp.presentation.defining.canonical(extra)
         if ideal.contains_one():
             raise AssertionError("split factor collapsed to the unit ideal")
         child = AffinePresentation(
-            QuotientRingContext(ring, ideal),
+            QuotientRingContext(comp.presentation.ring, ideal),
             comp.presentation.adjoined,
             comp.presentation.level,
         )

@@ -73,6 +73,17 @@ def test_radical_strategy_flags(tmp_path, capsys):
         assert json.loads(out)["options"]["radical"] == strategy
 
 
+def test_input_variable_named_like_an_adjoined_one(tmp_path, capsys):
+    # the cusp in T1_1 and y: the level-1 variable may not reuse the name
+    path = tmp_path / "named.txt"
+    path.write_text("ring QQ[T1_1,y]; ideal (y^2 - T1_1^3);\n")
+    assert run_cli(["normalize", str(path), "--json", "--verify"]) == 0
+    (comp,) = json.loads(capsys.readouterr().out)["components"]
+    names = comp["variables"]
+    assert names[:2] == ["T1_1", "y"] and len(set(names)) == len(names) == 3
+    assert [adj["name"] for adj in comp["adjoined"]] == names[2:]
+
+
 def test_small_characteristic_exits_3(tmp_path, capsys):
     path = tmp_path / "gf2cusp.txt"
     path.write_text("ring GF(2)[x,y]; ideal (y^2 - x^3);\n")

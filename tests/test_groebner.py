@@ -215,9 +215,11 @@ def test_basis_certificate_catches_a_lost_element(monkeypatch, ring_xy):
     # remainder) alike
     groebner = importlib.import_module("closurekit.groebner")
     real = groebner._interreduce
+    x, y = ring_xy.gens()
+    held = Ideal(ring_xy, [x * x])
+    held.groebner_basis()           # built before the loss is patched in
     monkeypatch.setattr(groebner, "_interreduce",
                         lambda *args: real(*args)[:-1])
-    x, y = ring_xy.gens()
     # y lacks variable 0, which a tag-free remainder would lack: an untagged
     # run must still refuse it
     for gens in ([x, y], [y]):
@@ -227,6 +229,9 @@ def test_basis_certificate_catches_a_lost_element(monkeypatch, ring_xy):
         syzygies([x, y], Ideal(ring_xy, []))
     with pytest.raises(AssertionError, match="escaped its own basis"):
         lift(x, [x, y], Ideal(ring_xy, []))
+    # a sum grown from a held basis is certified the same way
+    with pytest.raises(AssertionError, match="escaped its own basis"):
+        held.canonical([y])
 
 
 def test_eliminate_parabola(ring_xyz):
@@ -373,6 +378,7 @@ def test_held_bases_equal_fresh_bases(field, kind):
     R = _ring(field, ["t", "x", "y", "z"], kind)
     targets = [_ring(field, ["x", "y", "z"], kind), _ring(field, ["y", "z"], kind)]
     drop_t = elimination_order(4, {0})
+    t, x, y, z = R.gens()
     for I in _held_cases(R):
         I.groebner_basis(drop_t)
         can = I.canonical()
@@ -392,6 +398,14 @@ def test_held_bases_equal_fresh_bases(field, kind):
                 I, set(R.variables) - set(S.variables)).generators]
             assert set(out._bases) == ({DEGREVLEX.name} if kind == "degrevlex" else set())
             _assert_held_bases_are_fresh(out, [S.order])
+
+        # sums grown from the held basis: no extras, zero, a member, a
+        # generic polynomial, and one that makes the unit ideal
+        for extra in ([], [R.zero], [I.generators[0] * (x + t)],
+                      [x * y - z * t + 2], [R.one - t * t, t]):
+            out = Ideal(R, I.generators).canonical(extra)
+            assert out.generators == Ideal(R, I.generators + tuple(extra)).groebner_basis()
+            assert set(out._bases) == {R.order.name}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
