@@ -12,18 +12,34 @@ from fractions import Fraction
 from .errors import DivisionByZero, FieldMismatch, NonPrimeModulus
 
 
+# the first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86,
+# 2017), so for every modulus below _MODULUS_BOUND
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_BOUND = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -79,6 +95,9 @@ class PrimeField(Field):
     """GF(p) for a prime p; residues are canonical ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= _MODULUS_BOUND:
+            raise NonPrimeModulus(
+                f"modulus {p} is too large: GF(p) needs p < 2^64")
         if not _is_prime(p):
             raise NonPrimeModulus(f"modulus {p} is not prime")
         self.p = p

@@ -19,11 +19,13 @@ forms of 1, x_i, x_i^2, ... against I's basis (as in FGLM), so no
 elimination basis is computed.  Positive-dimensional ideals reduce
 to the zero-dimensional case over the rational function field of a
 maximal independent variable set: a block order whose dependent block
-dominates makes the Groebner basis valid there, pseudo-remainder
-sequences keep the squarefree computation denominator-free, and the
-contraction back is a saturation by the collected leading coefficients.
-The missed locus is recovered by recursing on the ideal plus the product
-of those coefficients.
+dominates makes the Groebner basis valid there, and the contraction
+back is one saturation by the product of the collected leading
+coefficients.  The missed locus is recovered by recursing on the ideal
+plus that product.  One squarefree routine serves both strategies: a
+pseudo-remainder sequence of g and dg/dx_i, each remainder made
+primitive, which is denominator-free over k[u] and keeps coefficient
+growth in check over QQ.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ from .ring import (
     LEX,
     Polynomial,
     PolyRing,
-    divide_with_remainder,
     fresh_name,
 )
 
@@ -166,33 +167,6 @@ def _rabinowitsch(f: Polynomial, I: Ideal) -> bool:
     return not f or saturation(I, f).contains_one()
 
 
-# -- univariate helpers (field coefficients) -------------------------------
-
-def _univariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while b:
-        _, r = divide_with_remainder(a, [b])
-        a, b = b, r
-    return a.monic()
-
-
-def _squarefree_part_field(g: Polynomial, var_index: int, char: int) -> Polynomial:
-    deg = g.degree_in(var_index)
-    if char and char <= deg:
-        raise UnsupportedCharacteristic(
-            f"GF({char}) is too small for a squarefree part of degree {deg}")
-    dg = g.derivative(var_index)
-    if dg.is_zero():
-        raise UnsupportedCharacteristic(
-            "derivative vanished; characteristic divides every exponent")
-    d = _univariate_gcd(g, dg)
-    if d.is_constant():
-        return g.monic()
-    qs, r = divide_with_remainder(g, [d])
-    if r:
-        raise AssertionError("gcd does not divide its argument")
-    return qs[0].monic()
-
-
 # -- pseudo-division helpers (coefficients in a subring) -------------------
 
 def _leading_coeff_in(p: Polynomial, i: int) -> Polynomial:
@@ -218,8 +192,12 @@ def _pseudo_divide(f: Polynomial, g: Polynomial, i: int):
     return q, r
 
 
-def _squarefree_part_pseudo(g: Polynomial, i: int, char: int):
-    """Squarefree part of g viewed in k(u)[x_i]; stays denominator-free.
+def _squarefree_part(g: Polynomial, i: int, char: int):
+    """Squarefree part of g viewed in k(u)[x_i], u the variables other
+    than x_i (none in dimension zero), from a pseudo-remainder sequence
+    of g and its derivative.  Each remainder is made primitive, which
+    over QQ keeps the coefficients from growing with every step and
+    over GF(p) changes nothing; the sequence stays denominator-free.
 
     Returns (part, junk) where junk collects the leading-coefficient
     factors picked up along the way (polynomials in the u-variables)."""
@@ -233,7 +211,7 @@ def _squarefree_part_pseudo(g: Polynomial, i: int, char: int):
             "derivative vanished; characteristic divides every exponent")
     a, b = g, dg
     while b and b.degree_in(i) > 0:
-        a, b = b, _pseudo_divide(a, b, i)[1]
+        a, b = b, _pseudo_divide(a, b, i)[1].input_normalized()
     if b:
         # gcd is trivial over k(u); g is already squarefree there
         return g, [b, _leading_coeff_in(g, i)]
@@ -291,7 +269,8 @@ def _radical_zerodim(I: Ideal, char: int) -> Ideal:
         if not any(g.LM[i] and g.LM[i] == sum(g.LM) for g in basis):
             raise AssertionError(
                 f"no pure power of {name} leads the basis; ideal is not zero-dimensional")
-    extra = [_squarefree_part_field(_minimal_polynomial(I, i), i, char)
+    # the leading coefficients of univariate polynomials are constants
+    extra = [_squarefree_part(_minimal_polynomial(I, i), i, char)[0]
              for i in range(ring.nvars)]
     return I.canonical(extra)
 
@@ -345,7 +324,7 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
             raise StrategyFailed(
                 f"no eliminant in {ring.variables[i]} over the independent set")
         g = min(gens, key=lambda p: p.degree_in(i))
-        part, junk = _squarefree_part_pseudo(g, i, char)
+        part, junk = _squarefree_part(g, i, char)
         extra.append(part)
         for h in junk:
             note(h)
@@ -354,14 +333,13 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
     for g in contracted.groebner_basis(block):
         note(_dep_leading_data(g, dep, block))
 
-    for h in factors:
-        contracted = saturation(contracted, h)
     if not factors:
         return contracted
-
     h_total = ring.one
     for h in factors:
         h_total = h_total * h
+    # (J : h_1^oo) : h_2^oo = J : (h_1 h_2)^oo, so one saturation serves
+    contracted = saturation(contracted, h_total)
     rest = _radical_general(I.canonical([h_total]), char, depth + 1)
     if rest.contains_one():
         return contracted
@@ -374,13 +352,13 @@ def radical(I: Ideal, strategy: str = "auto") -> Ideal:
     or else Rabinowitsch) before being returned.  "auto" is "general",
     which sends dimension zero on to "zerodim"; "zerodim" itself rejects
     any other dimension up front."""
+    if strategy not in ("auto", "zerodim", "general"):
+        raise ValueError(f"unknown radical strategy {strategy!r}")
     char = I.ring.field.characteristic
     if I.is_zero():
         return I
     if I.contains_one():
         return I.canonical()
-    if strategy not in ("auto", "zerodim", "general"):
-        raise ValueError(f"unknown radical strategy {strategy!r}")
     if strategy == "zerodim":
         dim = dimension(I)
         if dim != 0:

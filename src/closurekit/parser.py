@@ -49,9 +49,9 @@ def _tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start, start_col = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(Token("int", text[start:i], line, start_col))

@@ -14,6 +14,8 @@ ideal bases, against which the syzygy-based colon ideals are checked.
 row, with no sharing of sub-minors and no reduction along the way.
 ``reference_eliminant`` reads the generator of I ∩ k[x_i] off an
 elimination basis, not off normal forms in R/I.
+``reference_squarefree_part`` runs Euclid's algorithm over the field on
+dense coefficient lists, not pseudo-remainders on sparse polynomials.
 """
 from fractions import Fraction
 from itertools import product
@@ -328,3 +330,47 @@ def reference_eliminant(I, i):
     if not gens:
         raise ValueError(f"no univariate eliminant in {ring.variables[i]}")
     return min(gens, key=lambda p: p.degree_in(i))
+
+
+def _dense_divmod(a, b, p):
+    """Quotient and remainder of dense coefficient lists (lowest degree
+    first, no trailing zeros) over QQ or GF(p)."""
+    _, inverse, canon = _scalars(p)
+    a = list(a)
+    q = [canon(0)] * max(len(a) - len(b) + 1, 0)
+    inv = inverse(b[-1])
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        c = q[shift] = canon(a[-1] * inv)
+        for k, bk in enumerate(b):
+            a[shift + k] = canon(a[shift + k] - c * bk)
+        while a and not a[-1]:
+            a.pop()
+    return q, a
+
+
+def reference_squarefree_part(f, i):
+    """Monic squarefree part of f, a polynomial in x_i alone over QQ or
+    GF(p) with p > deg f: f / gcd(f, f') by Euclid's algorithm on dense
+    coefficient lists, each remainder made monic."""
+    ring = f.ring
+    p = ring.field.characteristic
+    coerce, inverse, canon = _scalars(p)
+    dense = [coerce(0)] * (f.degree_in(i) + 1)
+    for m, c in f.terms:
+        if any(e for j, e in enumerate(m) if j != i):
+            raise ValueError(f"not a polynomial in {ring.variables[i]} alone")
+        dense[m[i]] = coerce(c.value)
+    a, b = dense, [canon(k * c) for k, c in enumerate(dense)][1:]
+    while b:
+        a, b = b, _dense_divmod(a, b, p)[1]
+        if b:
+            inv = inverse(b[-1])
+            b = [canon(c * inv) for c in b]
+    part, r = _dense_divmod(dense, a, p)
+    if r:
+        raise AssertionError("gcd does not divide its argument")
+    inv = inverse(part[-1])
+    zero = (0,) * ring.nvars
+    return ring.from_dict({zero[:i] + (k,) + zero[i + 1:]: c * inv
+                           for k, c in enumerate(part) if c})

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from closurekit import DEGREVLEX, emit_json, parse_input, run_cli
+from closurekit.errors import VerificationFailed
 
 CUSP = "ring QQ[x,y];\nideal (y^2 - x^3);\n"
 NODE = "ring QQ[x,y];\nideal (y^2 - x^2);\n"
@@ -72,6 +73,34 @@ def test_duplicate_variable_location(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"{path}:1:11:")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ring QQ[x];\nideal (x^²);\n", ":2:10: unexpected character '²'\n"),
+    ("ring GF(4)[x];\nideal (x);\n", ": modulus 4 is not prime\n"),
+    (f"ring GF({2 ** 64})[x];\nideal (x);\n",
+     f": modulus {2 ** 64} is too large: GF(p) needs p < 2^64\n"),
+], ids=["superscript-digit", "GF(4)", "GF(2^64)"])
+def test_rejected_input_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["normalize", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == f"{path}{message}"
+
+
+def test_verification_failure_exit_code(cusp_file, capsys, monkeypatch):
+    cli = importlib.import_module("closurekit.cli")
+
+    def failing(start, result):
+        raise VerificationFailed("planted failure")
+
+    monkeypatch.setattr(cli, "verify_result", failing)
+    code, out, err = run(capsys, ["normalize", cusp_file, "--json", "--verify"])
+    assert code == 4
+    assert out == ""
+    assert err == "verification failed: planted failure\n"
 
 
 def test_missing_file_exit_code(capsys, tmp_path):
@@ -162,6 +191,19 @@ def test_trace_flag_controls_trace(tmp_path, capsys):
     assert any(e.startswith("Split") for e in doc["trace"])
     code, out, _ = run(capsys, ["normalize", str(path), "--json"])
     assert json.loads(out)["trace"] == []
+
+
+def test_trace_in_text_output(tmp_path, capsys):
+    path = tmp_path / "node.txt"
+    path.write_text(NODE)
+    code, out, _ = run(capsys, ["normalize", str(path), "--trace"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "components: 2"
+    assert any(line.startswith("trace: Split") for line in lines)
+    # trace lines come last, after every component
+    first = next(k for k, line in enumerate(lines) if line.startswith("trace: "))
+    assert all(line.startswith("trace: ") for line in lines[first:])
 
 
 def test_lex_order_flag(cusp_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from closurekit import GF, QQ
 from closurekit.errors import DivisionByZero, FieldMismatch, NonPrimeModulus
+from closurekit.fields import _is_prime
 
 
 def q(a, b=1):
@@ -68,6 +69,38 @@ def test_non_prime_modulus_rejected():
     for bad in (0, 1, 4, 9, 15, 91):
         with pytest.raises(NonPrimeModulus):
             GF(bad)
+
+
+def test_primality_matches_a_sieve():
+    limit = 5000
+    composite = set()
+    for i in range(2, limit):
+        composite.update(range(2 * i, limit, i))
+    for n in range(limit):
+        assert _is_prime(n) == (n >= 2 and n not in composite), n
+
+
+def test_large_prime_modulus_accepted():
+    p = 2 ** 61 - 1
+    F = GF(p)
+    assert F.element(2 ** 60) * 2 == F.one   # 2^61 = 1 mod p
+    assert F.element(3) * F.element(3).inverse() == F.one
+
+
+@pytest.mark.parametrize("n", [
+    561,                                # Carmichael number
+    2147483647 * 2147483629,            # two 31-bit primes
+    3825123056546413051,                # strong pseudoprime to bases 2..23
+])
+def test_pseudoprimes_rejected(n):
+    with pytest.raises(NonPrimeModulus, match=f"^modulus {n} is not prime$"):
+        GF(n)
+
+
+@pytest.mark.parametrize("n", [2 ** 64, 2 ** 64 + 13, 2 ** 89 - 1])
+def test_modulus_at_or_above_two_to_the_64_rejected(n):
+    with pytest.raises(NonPrimeModulus, match=r"GF\(p\) needs p < 2\^64"):
+        GF(n)
 
 
 def test_ring_axioms_on_random_rationals():

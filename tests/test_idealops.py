@@ -38,6 +38,7 @@ from oracles import (
     reference_determinant,
     reference_eliminant,
     reference_quotient,
+    reference_squarefree_part,
 )
 
 idealops = importlib.import_module("closurekit.idealops")
@@ -322,6 +323,13 @@ def test_radical_of_zero_and_unit(ring_xy):
     assert radical(Ideal(ring_xy, [ring_xy.one])).contains_one()
 
 
+@pytest.mark.parametrize("gens", ["", "1", "x^2"], ids=["zero", "unit", "proper"])
+def test_radical_rejects_unknown_strategy_first(ring_xy, gens):
+    I = Ideal(ring_xy, [P(ring_xy, g) for g in gens.split()])
+    with pytest.raises(ValueError, match="^unknown radical strategy 'bogus'$"):
+        radical(I, strategy="bogus")
+
+
 def test_radical_zerodim_strategy_rejects_positive_dimension(ring_xy):
     I = Ideal(ring_xy, [P(ring_xy, "x^2")])
     with pytest.raises(StrategyFailed,
@@ -415,12 +423,67 @@ def test_minimal_polynomial_matches_elimination_reference(case, field, order,
         assert len(forms) == got.degree_in(i) + 1
         if case == "sqrt2-sqrt3":
             assert got.degree_in(i) == 2
-        extra.append(idealops._squarefree_part_field(expected, i, field.characteristic))
+        extra.append(reference_squarefree_part(expected, i))
     monkeypatch.undo()
     if case == "sqrt2-sqrt3":
         assert len(I.groebner_basis()) == 2  # dim R/I = 4 > 2
     reference = Ideal(ring, list(I.generators) + extra).groebner_basis()
     assert idealops._radical_zerodim(I, field.characteristic).groebner_basis() == reference
+
+
+# -- squarefree parts against the dense Euclid reference --------------------
+
+def _random_factor(ring, rng, deg):
+    """A polynomial of degree ``deg`` in x whose coefficients are
+    polynomials of degree <= 1 in the other variable, if any."""
+    x = ring.var("x")
+    others = [ring.var(v) for v in ring.variables[1:]]
+
+    def coeff():
+        return ring.from_scalar(rng.randint(-9, 9)) + sum(
+            (v * rng.randint(-3, 3) for v in others), ring.zero)
+
+    lead = coeff()
+    while not lead:
+        lead = coeff()
+    return lead * x ** deg + sum((coeff() * x ** k for k in range(deg)), ring.zero)
+
+
+def _specialize(f, values):
+    """f with every variable but x set to its seeded integer value."""
+    out = {}
+    for m, c in f.terms:
+        scale = c.value
+        for v, e in zip(values, m[1:]):
+            scale *= v ** e
+        key = (m[0],) + (0,) * len(values)
+        out[key] = out.get(key, 0) + scale
+    return f.ring.from_dict(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("variables,shape", [
+    # (degree in x, power) of each seeded factor
+    (["x"], [(1, 3), (2, 2), (3, 3), (4, 1), (2, 3), (3, 2), (4, 2), (1, 1)]),
+    # the k[y]-content of the remainders is kept, so their degree in y
+    # roughly doubles with each step: the polynomial stays small
+    (["x", "y"], [(2, 2), (1, 1), (1, 2)]),
+], ids=["k[x]", "k(y)[x]"])
+def test_squarefree_part_matches_dense_euclid(field, variables, shape):
+    ring = PolyRing(field, variables)
+    rng = random.Random(f"squarefree-{field}-{len(variables)}")
+    g = ring.one
+    for degree, power in shape:
+        g = g * _random_factor(ring, rng, degree) ** power
+    part, junk = idealops._squarefree_part(g, 0, field.characteristic)
+    assert all(h.degree_in(0) <= 0 for h in junk)
+    # over k(y) the part is the reference's up to a unit, so the two agree
+    # after specializing y and making them monic
+    for _ in range(2):
+        values = [rng.randint(1, 10 ** 4) for _ in variables[1:]]
+        reference = reference_squarefree_part(_specialize(g, values), 0)
+        assert reference.degree_in(0) < g.degree_in(0)
+        assert _specialize(part, values).monic() == reference
 
 
 # -- witness exponents before Rabinowitsch ----------------------------------

@@ -71,6 +71,24 @@ def test_non_prime_modulus_rejected():
         parse_input("ring GF(6)[x]; ideal (x);")
 
 
+def test_superscript_digit_is_a_parse_error():
+    # str.isdigit accepts "²", which int() rejects
+    with pytest.raises(ParseError, match="unexpected character '²'") as info:
+        parse_input("ring QQ[x]; ideal (x^²);")
+    assert (info.value.line, info.value.column) == (1, 22)
+
+
+def test_decimal_digits_of_any_script_parse():
+    doc = parse_input("ring GF(٧)[x]; ideal (x^٣);")   # Arabic-Indic 7 and 3
+    assert doc.field == GF(7)
+    assert doc.generators[0] == doc.ring.var("x") ** 3
+
+
+def test_large_prime_modulus_parses():
+    doc = parse_input("ring GF(2305843009213693951)[x,y]; ideal (y^2 - x^3);")
+    assert doc.field == GF(2 ** 61 - 1)
+
+
 def test_syntax_error_position():
     with pytest.raises(ParseError) as info:
         parse_input("ring QQ[x,y]; ideal (y^2 - );")
