@@ -2,9 +2,11 @@
 elimination and contraction, and Krull dimension of leading-term ideals.
 Only this module fills an ideal's memo without a fresh run:
 ``Ideal.canonical``, ``eliminate`` and ``contract`` hold the certified
-reduced basis they have, and ``I.canonical(extra)`` grows the basis of
-I + (extra) from I's.  The Jacobian test ideal is the one sum built afresh:
-its generators stay D's followed by the minors, the list perfbench counts.
+reduced basis they have, and ``I.plus(extra)`` and ``I.canonical(extra)``
+grow the basis of I + (extra) from I's.  ``plus`` keeps I's generators
+followed by the extras, as the Jacobian test ideal needs; ``canonical``
+is generated by the basis.  ``normal_form`` divides by the held basis
+with a first-divisor memo kept beside the bases (``Ideal._held``).
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
@@ -19,7 +21,7 @@ sum(E_i*p_i) by the basis reads off a lift of (p_1..p_s).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import NotAMember, RingMismatch
 from .ring import (
@@ -29,13 +31,13 @@ from .ring import (
     Polynomial,
     PolyRing,
     MonomialOrder,
-    divide_with_remainder,
     elimination_order,
     fresh_name,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    remainder,
 )
 
 
@@ -56,6 +58,9 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases: dict = {}
+        # normal_form's divisors: the ring-order basis, its leading
+        # monomials and its first-divisor memo (see ring.remainder)
+        self._held = None
 
     def groebner_basis(self, order: MonomialOrder | None = None):
         order = order or self.ring.order
@@ -65,15 +70,24 @@ class Ideal:
             self._bases[order.name] = cached
         return cached
 
-    def canonical(self, extra=()) -> "Ideal":
-        """This ideal plus (extra), generated by and holding its reduced basis
-        in the ring's order.  The sum grows from the held basis; with no
-        extras it is this ideal, and the bases for other orders are kept."""
+    def plus(self, extra) -> "Ideal":
+        """This ideal plus (extra), generated by this ideal's generators
+        followed by the nonzero extras, and holding its reduced basis in the
+        ring's order, grown from this ideal's.  With no extras the bases for
+        other orders are kept too."""
         basis, extra = self.groebner_basis(), Ideal(self.ring, extra).generators
         if extra:
             basis = tuple(_buchberger(extra, self.ring, held=basis))
-        out = Ideal(self.ring, basis)
+        out = Ideal(self.ring, self.generators + extra)
         out._bases.update({self.ring.order.name: basis} if extra else self._bases)
+        return out
+
+    def canonical(self, extra=()) -> "Ideal":
+        """This ideal plus (extra) as ``plus`` builds it, but generated by
+        the reduced basis it holds; with no extras, this ideal."""
+        total = self.plus(extra)
+        out = Ideal(self.ring, total._bases[self.ring.order.name])
+        out._bases = total._bases
         return out
 
     def is_zero(self) -> bool:
@@ -107,7 +121,7 @@ def _interreduce(polys, syzygies=None, slots=0, held=()):
     kept = []
     for i, p in enumerate(todo):
         others = [*held, *kept, *todo[i + 1:]]
-        r = divide_with_remainder(p, others)[1] if others else p
+        r = remainder(p, others, [q.LM for q in others]) if others else p
         if r and not _set_aside(r, syzygies, slots):
             kept.append(r.monic())
     return kept
@@ -203,8 +217,9 @@ def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
         if CP.pop((i, j), None) is None:
             continue
         if reducers is None:
-            reducers = [f[g] for g in sorted(G, key=lambda g: key(lm[g]))]
-        _, r = divide_with_remainder(_spoly(f[i], f[j]), reducers)
+            ix = sorted(G, key=lambda g: key(lm[g]))
+            reducers = [f[g] for g in ix], [lm[g] for g in ix]
+        r = remainder(_spoly(f[i], f[j]), *reducers)
         if r and not _set_aside(r, syzygies, slots):
             f.append(r.monic())
             lm.append(r.LM)
@@ -219,8 +234,9 @@ def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
                if not any(q is not p and monomial_divides(q.LM, p.LM) for q in minimal)]
     reduced = _interreduce(minimal)
     reduced.sort(key=lambda p: key(p.LM), reverse=True)
+    leads = [p.LM for p in reduced]
     for p in chain(held, polys):
-        _, r = divide_with_remainder(p, reduced)
+        r = remainder(p, reduced, leads)
         if r and (not slots or any(r.LM[:slots])):
             raise AssertionError("input generator escaped its own basis")
     return reduced
@@ -238,14 +254,15 @@ def buchberger(gens, order: MonomialOrder | None = None) -> Ideal:
 
 
 def normal_form(p: Polynomial, ideal: Ideal) -> Polynomial:
-    """Canonical representative of p modulo the ideal."""
+    """Canonical representative of p modulo the ideal.  The ideal holds its
+    basis as divisors with a first-divisor memo, made on the first call."""
     if p.ring != ideal.ring:
         raise RingMismatch("polynomial and ideal live in different rings")
-    basis = ideal.groebner_basis()
-    if not basis:
-        return p
-    _, r = divide_with_remainder(p, list(basis))
-    return r
+    held = ideal._held
+    if held is None:
+        basis = ideal.groebner_basis()
+        held = ideal._held = (basis, [g.LM for g in basis], {})
+    return remainder(p, *held) if held[0] else p
 
 
 def ideal_member(p: Polynomial, ideal: Ideal) -> bool:
@@ -318,8 +335,9 @@ def lift_all(targets, gens, ambient: Ideal):
                      for j in range(slots, slots + len(gens)))
 
     lifts = []
+    leads = [g.LM for g in basis]
     for p in targets:
-        _, r = divide_with_remainder(_slotted(p, e), basis)
+        r = remainder(_slotted(p, e), basis, leads)
         lifts.append(None if r and any(r.LM[:slots]) else
                      [-c for c in untag(r)])
     found.sort(key=lambda s: tagged.order.key(s.LM), reverse=True)
@@ -367,27 +385,30 @@ def dimension(ideal: Ideal) -> int:
     Returns -1 for the unit ideal so callers can branch on an empty
     variety without catching an exception.
     """
-    sets = independent_sets(ideal)
-    if sets is None:
-        return -1
-    return max(len(s) for s in sets)
+    return leading_dimension([g.LM for g in ideal.groebner_basis()], ideal.ring.nvars)
+
+
+def leading_dimension(leads, nvars: int) -> int:
+    """Krull dimension of k[x_1..x_nvars] modulo the monomials ``leads``;
+    -1 when one of them is 1."""
+    sets = _independent_sets(leads, nvars)
+    return -1 if sets is None else len(sets[0])
 
 
 def independent_sets(ideal: Ideal):
     """All maximal-size variable subsets independent modulo LT(ideal);
     None for the unit ideal."""
-    ring = ideal.ring
-    basis = ideal.groebner_basis()
-    if any(g.is_constant() for g in basis):
-        return None
-    # independence is read off the leading-term ideal only
-    supports = [frozenset(i for i, e in enumerate(g.LM) if e) for g in basis]
-    n = ring.nvars
-    from itertools import combinations
+    return _independent_sets([g.LM for g in ideal.groebner_basis()], ideal.ring.nvars)
 
-    for size in range(n, -1, -1):
-        found = [set(combo) for combo in combinations(range(n), size)
+
+def _independent_sets(leads, nvars: int):
+    """All maximal-size variable subsets that contain the support of no
+    monomial in ``leads``; None when one of them is 1."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+    if not all(supports):
+        return None
+    for size in range(nvars, -1, -1):
+        found = [set(combo) for combo in combinations(range(nvars), size)
                  if not any(s <= set(combo) for s in supports)]
         if found:
-            return found
-    return [set()]
+            return found    # size 0 always qualifies: no support is empty

@@ -397,7 +397,9 @@ def _expand_last_row(ring: PolyRing, row, parent: dict, cols: tuple) -> Polynomi
 
 def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     """D plus the c x c minors of the Jacobian of D's generators, where
-    c = (number of variables) - dim(D).  Not radicalized here.
+    c = (number of variables) - dim(D).  Not radicalized here.  The sum is
+    generated by D's generators followed by the minors, and holds the
+    basis grown from D's.
 
     Entries and minors are reduced modulo D and deduplicated; congruent
     entries give congruent determinants, so the ideal is unchanged while
@@ -414,7 +416,7 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     gens = list(ctx.defining.generators)
     c = ring.nvars - dimension(ctx.defining)
     if c <= 0:
-        return Ideal(ring, gens + [ring.one])
+        return ctx.defining.plus([ring.one])
     jac = [[ctx.nf(g.derivative(j)) for j in range(ring.nvars)] for g in gens]
     minors = []
     seen = set()
@@ -442,4 +444,4 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
         return False
 
     walk(0, {(): ring.one}, 1)
-    return Ideal(ring, gens + minors)
+    return ctx.defining.plus(minors)

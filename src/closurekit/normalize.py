@@ -180,18 +180,22 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     Zerodivisors are detected by dimension: over a reduced defining
     ideal, adjoining a nonzerodivisor strictly drops the dimension of
     every component, while equal dimension forces the candidate into a
-    minimal prime.  The full annihilator is only computed for the
-    element actually returned."""
-    from .groebner import dimension
+    minimal prime.  LT(D) + (LM f) lies in LT(D + (f)), so its dimension
+    bounds dim(D + (f)) from above; when the bound is already below
+    dim(D), D + (f) is not built.  The full annihilator is only computed
+    for the element actually returned."""
+    from .groebner import dimension, leading_dimension
 
     gens, candidates = _candidates(R, I)
     if not gens:
         raise EmptyIdeal("test ideal is zero in the quotient ring")
     D = R.defining
     base_dim = dimension(D)
+    leads = [g.LM for g in D.groebner_basis()]
     first_nzd = None
     for f in candidates:
-        if dimension(D.canonical([f])) == base_dim:
+        if (leading_dimension(leads + [f.LM], R.ring.nvars) >= base_dim
+                and dimension(D.canonical([f])) == base_dim):
             ann = annihilator(f, R.ctx)
             if ann.is_zero():
                 raise AssertionError("dimension flagged a nonzerodivisor")

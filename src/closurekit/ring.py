@@ -18,6 +18,17 @@ monomial to raw coefficient plus a heap of its monomials keyed by
 a multiple of a divisor touches only the dict entries it hits and
 pushes only monomials that are new; quotient and remainder terms come
 out in descending order and need no sort.
+
+One loop, ``remainder``, has two entries.  ``divide_with_remainder`` is
+the public one: it checks its divisors and collects the quotients
+through the loop's quotient sink.  The engine calls ``remainder``
+itself, on divisor lists it built (nonzero, in the dividend's ring), and
+gets the remainder only.  Each divisor makes its division data,
+(1/LC, tail terms), the first time it divides and keeps it in a derived
+slot.  A held basis, the divisors of ``groebner.normal_form``, also
+keeps a memo from each monomial met to the first divisor whose leading
+monomial divides it, so the scan over the leading monomials runs once
+per monomial, not once per term of every dividend.
 """
 from __future__ import annotations
 
@@ -291,9 +302,11 @@ class Polynomial:
 
     ``raw`` holds the (monomial, raw coefficient) pairs; build instances
     through the ring (``from_dict``, ``term``, ``var``, ...) or arithmetic.
+    ``_div`` is derived: (1/LC, tail terms), set the first time the
+    polynomial divides; equality and hashing never read it.
     """
 
-    __slots__ = ("ring", "raw")
+    __slots__ = ("ring", "raw", "_div")
 
     def __init__(self, ring: PolyRing, raw):
         object.__setattr__(self, "ring", ring)
@@ -301,6 +314,12 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def _division_data(self):
+        """(1/LC, tail terms) as raw values, made once per polynomial."""
+        data = (_inverse(self.raw[0][1], self.ring.field.characteristic), self.raw[1:])
+        object.__setattr__(self, "_div", data)
+        return data
 
     # -- basic structure ------------------------------------------------
 
@@ -599,13 +618,25 @@ def divide_with_remainder(p: Polynomial, divisors, order: MonomialOrder | None =
         qs, r = divide_with_remainder(p.map_to(work_ring),
                                       [d.map_to(work_ring) for d in divisors])
         return [q.map_to(ring) for q in qs], r.map_to(ring)
+    quotients = [[] for _ in divisors]
+    r = remainder(p, divisors, [d.raw[0][0] for d in divisors], quotients=quotients)
+    zero = ring.zero  # shared by the divisors that were never used
+    return [Polynomial(ring, q) if q else zero for q in quotients], r
 
+
+def remainder(p: Polynomial, divisors, leads, memo=None, quotients=None) -> Polynomial:
+    """The division loop: the remainder of p by ``divisors``, which must be
+    nonzero and in p's ring, with ``leads`` their leading monomials.  The
+    engine calls it directly, on divisor lists it built itself.
+
+    ``quotients``, when given, is a list of one list per divisor that
+    collects the quotient terms.  ``memo``, when given, belongs to this
+    divisor list: it maps each monomial met to the index of the first
+    divisor whose leading monomial divides it, or -1."""
+    ring = p.ring
     char = ring.field.characteristic
     key = ring.order.desc_key
-    leads = [d.raw[0][0] for d in divisors]
-    tails = [None] * len(divisors)  # (1/LC, tail terms), on first use
-    quotients = [[] for _ in divisors]
-    remainder = []
+    rem = []
     work = dict(p.raw)
     # p's terms are descending, so their keys are ascending: a valid heap
     heap = [(key(m), m) for m in work]
@@ -614,27 +645,33 @@ def divide_with_remainder(p: Polynomial, divisors, order: MonomialOrder | None =
         c = work.pop(m)
         if not c:
             continue  # cancelled after it was pushed
-        for i, lm in enumerate(leads):
-            if not all(map(le, lm, m)):
-                continue
-            q = tuple(map(sub, m, lm))
-            if tails[i] is None:
-                raw = divisors[i].raw
-                tails[i] = (_inverse(raw[0][1], char), raw[1:])
-            inv, tail = tails[i]
-            if inv != 1:
-                c = c * inv % char if char else _rational(c * inv)
+        i = None if memo is None else memo.get(m)
+        if i is None:
+            for i, lm in enumerate(leads):
+                if all(map(le, lm, m)):
+                    break
+            else:
+                i = -1
+            if memo is not None:
+                memo[m] = i
+        if i < 0:
+            rem.append((m, c))
+            continue
+        d = divisors[i]
+        try:
+            inv, tail = d._div
+        except AttributeError:
+            inv, tail = d._division_data()
+        if inv != 1:
+            c = c * inv % char if char else _rational(c * inv)
+        q = tuple(map(sub, m, leads[i]))
+        if quotients is not None:
             quotients[i].append((q, c))
-            for tm, tc in tail:
-                mm = tuple(map(add, q, tm))
-                old = work.get(mm)
-                v = -c * tc if old is None else old - c * tc
-                work[mm] = v % char if char else _rational(v)
-                if old is None:
-                    heappush(heap, (key(mm), mm))
-            break
-        else:
-            remainder.append((m, c))
-    zero = ring.zero  # shared by the divisors that were never used
-    return ([Polynomial(ring, q) if q else zero for q in quotients],
-            Polynomial(ring, remainder))
+        for tm, tc in tail:
+            mm = tuple(map(add, q, tm))
+            old = work.get(mm)
+            v = -c * tc if old is None else old - c * tc
+            work[mm] = v % char if char else _rational(v)
+            if old is None:
+                heappush(heap, (key(mm), mm))
+    return Polynomial(ring, rem)

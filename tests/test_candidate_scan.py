@@ -1,0 +1,114 @@
+"""``pick_nzd_or_split``'s leading-term shortcut against the full scan.
+
+LT(D) + (LM f) lies in LT(D + (f)), so the dimension of that monomial
+ideal bounds dim(D + (f)) from above, and a candidate whose bound is
+below dim(D) is passed over without building D + (f).  The reference
+below is the scan without the shortcut: it builds D + (f) for every
+candidate it reaches.  Every call ``normalize`` makes on every fixture
+(both orders) and on seeded split-mix and prime-space benchmark inputs
+is replayed through it and must give the same ``SplitDecision``: the
+same element, and an annihilator with the same generators.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from closurekit import DEGREVLEX, LEX, normalize, parse_input, presentation
+from closurekit.errors import ParseError
+from closurekit.groebner import dimension, leading_dimension
+from closurekit.idealops import annihilator
+from closurekit.normalize import SplitDecision, _candidates
+
+normalize_module = importlib.import_module("closurekit.normalize")
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _reference_pick(R, I):
+    gens, candidates = _candidates(R, I)
+    assert gens
+    D = R.defining
+    base_dim = dimension(D)
+    first_nzd = None
+    for f in candidates:
+        if dimension(D.canonical([f])) == base_dim:
+            return SplitDecision(f, annihilator(f, R.ctx))
+        if first_nzd is None:
+            first_nzd = f
+    ann = annihilator(first_nzd, R.ctx)
+    return SplitDecision(first_nzd, None if ann.is_zero() else ann)
+
+
+def _skips(R, I):
+    """Candidates the shortcut passes over, up to the first zerodivisor."""
+    D = R.defining
+    base_dim = dimension(D)
+    leads = [g.LM for g in D.groebner_basis()]
+    skipped = 0
+    for f in _candidates(R, I)[1]:
+        if leading_dimension(leads + [f.LM], R.ring.nvars) < base_dim:
+            skipped += 1
+        elif dimension(D.canonical([f])) == base_dim:
+            break
+    return skipped
+
+
+def _replay(monkeypatch, texts, order=DEGREVLEX):
+    """Normalize each input, checking every scan against the reference;
+    returns (scans, splits, skipped candidates)."""
+    real = normalize_module.pick_nzd_or_split
+    seen = []
+
+    def checked(R, I):
+        decision = real(R, I)
+        ref = _reference_pick(R, I)
+        assert decision.f == ref.f
+        assert decision.is_split == ref.is_split
+        if ref.is_split:
+            assert (decision.annihilator_ideal.generators
+                    == ref.annihilator_ideal.generators)
+        seen.append((decision.is_split, _skips(R, I)))
+        return decision
+
+    monkeypatch.setattr(normalize_module, "pick_nzd_or_split", checked)
+    for text in texts:
+        doc = parse_input(text, order)
+        normalize(presentation(doc.ring, doc.generators))
+    return len(seen), sum(s for s, _ in seen), sum(k for _, k in seen)
+
+
+def _fixture_texts():
+    out = []
+    for path in sorted(FIXTURES.glob("*.txt")):
+        try:
+            parse_input(path.read_text(), DEGREVLEX)
+        except ParseError:
+            continue
+        out.append(path.read_text())
+    return out
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_fixture_scans_match_the_full_scan(monkeypatch, order):
+    scans, splits, skipped = _replay(monkeypatch, _fixture_texts(), order)
+    assert scans and splits and skipped
+
+
+@pytest.mark.parametrize("workload", ["split-mix", "prime-space"])
+def test_workload_scans_match_the_full_scan(monkeypatch, workload):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    # one round per seed: every family of the workload once
+    texts = []
+    for seed in (1, 2):
+        stream = workloads.stream(workload, seed)
+        texts += [next(stream).text for _ in workloads.WORKLOADS[workload].families]
+    scans, splits, skipped = _replay(monkeypatch, texts)
+    assert scans and skipped
+    assert splits if workload == "split-mix" else not splits

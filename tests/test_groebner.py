@@ -406,6 +406,11 @@ def test_held_bases_equal_fresh_bases(field, kind):
             out = Ideal(R, I.generators).canonical(extra)
             assert out.generators == Ideal(R, I.generators + tuple(extra)).groebner_basis()
             assert set(out._bases) == {R.order.name}
+            # the same sum, generated by I's generators followed by the extras
+            out = Ideal(R, I.generators).plus(extra)
+            assert out.generators == I.generators + tuple(e for e in extra if e)
+            assert set(out._bases) == {R.order.name}
+            _assert_held_bases_are_fresh(out, [R.order])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
