@@ -116,7 +116,7 @@ def run_cli(argv) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -4,7 +4,7 @@ intersection, radical membership, radicals, and the Jacobian test ideal.
 Colon ideals are syzygy reads: I : (g_1..g_s) is the kernel of
 R -> (R/I)^s, h -> (h*g_1..h*g_s), read off one tagged run of the engine.
 ``intersect`` and ``saturation`` contract an ideal in one adjoined
-variable to the ring.
+variable to the ring; ``intersect`` serves only the radical's recursion.
 
 Radical membership f in sqrt(I) first looks for a witness exponent:
 a zero normal form of f^e, e <= _WITNESS_CAP, against I's memoized

@@ -99,6 +99,14 @@ class _Parser:
             self.fail(text or kind)
         return self.advance()
 
+    def integer(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's int-from-string limit
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.column, expected="shorter integer") from None
+
     # -- grammar ---------------------------------------------------------
 
     def document(self, order: MonomialOrder):
@@ -132,7 +140,7 @@ class _Parser:
             return QQ
         if tok.text == "GF":
             self.expect("punct", "(")
-            p = int(self.expect("int").text)
+            p = self.integer()
             self.expect("punct", ")")
             return GF(p)
         raise ParseError(f"unknown field {tok.text!r}", tok.line, tok.column,
@@ -164,10 +172,8 @@ class _Parser:
 
     def term(self, ring: PolyRing) -> Polynomial:
         coeff = 1
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            coeff = int(tok.text)
+        if self.peek().kind == "int":
+            coeff = self.integer()
             if self.peek().kind == "punct" and self.peek().text == "*":
                 self.advance()
             elif self.peek().kind != "ident":
@@ -190,8 +196,7 @@ class _Parser:
         base = ring.var(tok.text)
         if self.peek().kind == "punct" and self.peek().text == "^":
             self.advance()
-            e = int(self.expect("int").text)
-            return base ** e
+            return base ** self.integer()
         return base
 
 

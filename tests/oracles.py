@@ -10,6 +10,9 @@ the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
 The one exception is ``reference_quotient``: it takes colon ideals by
 elimination and exact division, a second route through the package's
 ideal bases, against which the syzygy-based colon ideals are checked.
+``reference_global_check`` is the other: the global half of
+``verify_result``'s check (b) the way it once ran, by an ``intersect``
+fold of the component images and both inclusions up to radical.
 ``reference_determinant`` is plain Laplace expansion along the first
 row, with no sharing of sub-minors and no reduction along the way.
 ``reference_eliminant`` reads the generator of I ∩ k[x_i] off an
@@ -27,6 +30,7 @@ from closurekit import (
     divide_with_remainder,
     eliminate,
     intersect,
+    radical_membership,
 )
 
 
@@ -301,6 +305,23 @@ def reference_quotient(I, f):
             raise AssertionError("intersection member not divisible by f")
         gens.append(qs[0])
     return Ideal(I.ring, gens)
+
+
+def reference_global_check(D0, images):
+    """The failure message of check (b)'s global direction for the
+    component images in the input ring, or None if it passes: the images
+    are intersected, and the intersection and D0 must agree up to
+    radical."""
+    total = images[0]
+    for other in images[1:]:
+        total = intersect(total, other)
+    for g in total.groebner_basis():
+        if not radical_membership(g, D0):
+            return "intersection of component images exceeds the input radical"
+    for g in D0.generators:
+        if not radical_membership(g, total):
+            return "input radical exceeds the intersection of component images"
+    return None
 
 
 def reference_determinant(rows):

@@ -80,7 +80,10 @@ def test_duplicate_variable_location(tmp_path, capsys):
     ("ring GF(4)[x];\nideal (x);\n", ": modulus 4 is not prime\n"),
     (f"ring GF({2 ** 64})[x];\nideal (x);\n",
      f": modulus {2 ** 64} is too large: GF(p) needs p < 2^64\n"),
-], ids=["superscript-digit", "GF(4)", "GF(2^64)"])
+    # past the interpreter's int-from-string limit
+    ("ring QQ[x];\nideal (x^" + "9" * 5000 + ");\n",
+     ":2:10: integer literal of 5000 digits is too long\n"),
+], ids=["superscript-digit", "GF(4)", "GF(2^64)", "5000-digit-exponent"])
 def test_rejected_input_exit_code(tmp_path, capsys, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
@@ -108,6 +111,16 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err
+
+
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"ring QQ[x];\nideal (x\xff);\n")
+    code, out, err = run(capsys, ["normalize", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "0xff" in err
+    assert err.count("\n") == 1
 
 
 def test_iteration_limit_exit_code(cusp_file, capsys):

@@ -32,12 +32,15 @@ from closurekit.normalize import (
     NormalizationResult,
     _step,
 )
+from closurekit.groebner import contract
 from closurekit.idealops import QuotientRingContext
 from conftest import P
 from oracles import all_in_module_span, brute_force_syzygies, substitute
 
 # the package exports a function of the same name as this module
 normalize_module = importlib.import_module("closurekit.normalize")
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def cusp(ring):
@@ -274,19 +277,24 @@ def test_verify_rejects_tampered_result(ring_xy):
         verify_result(pres, NormalizationResult([comp], res.trace))
 
 
-def test_verify_rejects_zerodivisor_denominator(ring_xy):
-    # A4 adjoins T1_1 = y/x and T2_1 = T1_1/x; check (d) runs once per
-    # (level, denominator), and a bad level-2 denominator is still caught
+@pytest.mark.parametrize("entry", [0, 1], ids=["T1_1", "T2_1"])
+def test_verify_rejects_zerodivisor_denominator(ring_xy, entry):
+    # A4 adjoins T1_1 = y/x and T2_1 = T1_1/x; check (d) maps each
+    # denominator into the output ring, once per distinct image, and a
+    # zero denominator at either level is caught
     from dataclasses import replace
 
     pres = presentation(ring_xy, [P(ring_xy, "y^2 - x^5")])
     res = normalize(pres)
     comp = res.components[0]
-    first, second = comp.presentation.adjoined
+    adjoined = list(comp.presentation.adjoined)
+    first, second = adjoined
     assert first.denominator == second.denominator.map_to(ring_xy)
-    tampered = replace(second, denominator=comp.presentation.ring.zero)
-    comp.presentation = replace(comp.presentation, adjoined=(first, tampered))
-    with pytest.raises(VerificationFailed, match="T2_1: tower denominator"):
+    assert first.denominator.ring == ring_xy
+    bad = adjoined[entry]
+    adjoined[entry] = replace(bad, denominator=bad.denominator.ring.zero)
+    comp.presentation = replace(comp.presentation, adjoined=tuple(adjoined))
+    with pytest.raises(VerificationFailed, match=f"{bad.name}: tower denominator"):
         verify_result(pres, res)
 
 
@@ -299,9 +307,22 @@ def _split_cross(ring):
     return pres, res
 
 
-def test_verify_rejects_a_dropped_component(ring_xy):
-    # one line alone is normal, contains x*y, and misses the other line
-    pres, res = _split_cross(ring_xy)
+def _split_axes(_ring):
+    """The three coordinate axes of tests/fixtures/axes.txt, moved to
+    (-2, 1, 2); each line's image has two generators."""
+    doc = parse_input((FIXTURES / "axes.txt").read_text())
+    pres = presentation(doc.ring, doc.generators)
+    res = normalize(pres)
+    images = [contract(c.presentation.defining, doc.ring) for c in res.components]
+    assert [len(image.generators) for image in images] == [2, 2, 2]
+    return pres, res
+
+
+@pytest.mark.parametrize("split", [_split_cross, _split_axes], ids=["cross", "axes"])
+def test_verify_rejects_a_dropped_component(ring_xy, split):
+    # the remaining lines are normal and contain the input relations, but
+    # miss the dropped one
+    pres, res = split(ring_xy)
     res.components.pop()
     with pytest.raises(VerificationFailed,
                        match="intersection of component images exceeds the input radical"):

@@ -89,6 +89,18 @@ def test_large_prime_modulus_parses():
     assert doc.field == GF(2 ** 61 - 1)
 
 
+@pytest.mark.parametrize("text,location", [
+    ("ring GF(" + "7" * 5000 + ")[x];\nideal (x);", (1, 9)),
+    ("ring QQ[x];\nideal (" + "7" * 5000 + "*x);", (2, 8)),
+    ("ring QQ[x];\nideal (x^" + "7" * 5000 + ");", (2, 10)),
+], ids=["modulus", "coefficient", "exponent"])
+def test_over_long_integer_literal_is_a_parse_error(text, location):
+    # int() refuses strings past 4,300 digits; the parser reports the token
+    with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as info:
+        parse_input(text)
+    assert (info.value.line, info.value.column) == location
+
+
 def test_syntax_error_position():
     with pytest.raises(ParseError) as info:
         parse_input("ring QQ[x,y]; ideal (y^2 - );")

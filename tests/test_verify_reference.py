@@ -1,0 +1,85 @@
+"""``verify_result``'s check (b) against its old route.
+
+The global half of check (b) folds products of one generator per
+component image; ``oracles.reference_global_check`` intersects the
+images instead and tests both inclusions up to radical.  On every
+fixture and on one round of seed-1 and seed-2 split-mix inputs, the true
+result and every mutant that drops one component must get the same
+verdict from both, with the same message.  On those split-mix rounds
+every mutant is rejected.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+from closurekit import (DEGREVLEX, ideals_equal, normalize, parse_input, presentation,
+                        verify_result)
+from closurekit.errors import ParseError, VerificationFailed
+from closurekit.groebner import contract
+from closurekit.normalize import NormalizationResult
+from oracles import reference_global_check
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _verdict(pres, components):
+    try:
+        verify_result(pres, NormalizationResult(components))
+    except VerificationFailed as exc:
+        return str(exc)
+    return None
+
+
+def _compare(texts):
+    """Check every input's result and its drop-one mutants; returns the
+    mutants' verdicts.  A mutant passes exactly when the dropped image
+    equals one that is left, as for the non-radical x^2, which splits
+    into (x) twice."""
+    verdicts = []
+    for text in texts:
+        doc = parse_input(text, DEGREVLEX)
+        pres = presentation(doc.ring, doc.generators)
+        components = normalize(pres).components
+        images = [contract(c.presentation.defining, doc.ring) for c in components]
+        assert reference_global_check(pres.defining, images) is None
+        assert _verdict(pres, components) is None
+        if len(components) < 2:
+            continue
+        for i in range(len(components)):
+            expected = reference_global_check(pres.defining, images[:i] + images[i + 1:])
+            assert _verdict(pres, components[:i] + components[i + 1:]) == expected
+            duplicate = any(ideals_equal(images[i], image)
+                            for j, image in enumerate(images) if j != i)
+            assert (expected is None) == duplicate
+            verdicts.append(expected)
+    return verdicts
+
+
+def _fixture_texts():
+    out = []
+    for path in sorted(FIXTURES.glob("*.txt")):
+        try:
+            parse_input(path.read_text(), DEGREVLEX)
+        except ParseError:
+            continue
+        out.append(path.read_text())
+    return out
+
+
+def test_fixtures_match_the_intersect_reference():
+    assert _compare(_fixture_texts())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_mix_matches_the_intersect_reference(seed):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    stream = workloads.stream("split-mix", seed)
+    texts = [next(stream).text for _ in workloads.WORKLOADS["split-mix"].families]
+    verdicts = _compare(texts)
+    assert verdicts and None not in verdicts
