@@ -5,16 +5,20 @@ Only this module fills an ideal's memo without a fresh run:
 reduced basis they have, and ``I.plus(extra)`` and ``I.canonical(extra)``
 grow the basis of I + (extra) from I's.  ``plus`` keeps I's generators
 followed by the extras, as the Jacobian test ideal needs; ``canonical``
-is generated by the basis.  ``normal_form`` divides by the held basis
-with a first-divisor memo kept beside the bases (``Ideal._held``).
+is generated by the basis.  ``dimension_below`` grows a sum the same way
+but stops as soon as its leading monomials show the dimension below a
+bound, so a sum whose dimension drops is never finished.
+``normal_form`` divides by the held basis with a first-divisor memo kept
+beside the bases (``Ideal._held``).
 
 The pair update uses both standard criteria (coprime leading terms and
 the chain criterion) with normal-strategy selection.  Syzygies and lifts
 run on the same engine, on vectors of s entries: the j-th vector
 (g_j1..g_js) becomes E_1*g_j1 + ... + E_s*g_js + e_j in ring[E, e], and
-each ambient generator d enters once per slot, as E_i*d, under a block
-order whose lex tag block dominates, slot tags first (position over term).
-Pairs form within a slot only; remainders without a slot tag are
+each element d of the ambient's reduced basis enters once per slot, as a
+held E_i*d, under a block order whose lex tag block dominates, slot tags
+first (position over term).  Pairs form within a slot only, and never
+between held elements; remainders without a slot tag are
 syzygies, collected and never in the basis (Schreyer), and reducing
 sum(E_i*p_i) by the basis reads off a lift of (p_1..p_s).
 """
@@ -150,7 +154,7 @@ def _reduced_groebner(gens, ring, order):
     return tuple(basis)
 
 
-def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
+def _buchberger(polys, ring, syzygies=None, slots=0, held=(), below=None):
     """Reduced Groebner basis, Gebauer-Moeller pair update with
     normal-strategy selection (smallest lcm first, ties by index).
 
@@ -166,6 +170,11 @@ def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
     With ``slots`` s > 0 the input is tagged (see ``_tagged_run``):
     remainders with no slot tag go to the ``syzygies`` list, and only
     same-slot pairs are formed, which the coprime criterion never drops.
+
+    With ``below`` d the run stops, returning None, once the leading
+    monomials of G leave no independent set of size d: LT(G) lies in the
+    leading-term ideal of the sum at every point of the run, so the sum's
+    dimension is then below d.  A run that does not stop has dimension >= d.
 
     Every basis is certified here, where it is made: each input and held
     element must reduce by it to zero, or in a tagged run to a syzygy.
@@ -208,8 +217,14 @@ def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
         G = {g for g in G if not monomial_divides(mh, lm[g])}
         G.add(h)
 
+    def dropped():
+        return below is not None and next(_independent(
+            [lm[g] for g in G], ring.nvars, below), None) is None
+
     for i in sorted(range(len(held), len(f)), key=lambda k: key(lm[k])):
         update(i)
+    if dropped():
+        return None
 
     reducers = None     # G sorted by leading monomial, rebuilt when G changes
     while CP:
@@ -224,6 +239,8 @@ def _buchberger(polys, ring, syzygies=None, slots=0, held=()):
             f.append(r.monic())
             lm.append(r.LM)
             update(len(f) - 1)
+            if dropped():
+                return None
             reducers = None
 
     # minimalize (an element another's leading monomial divides would only
@@ -286,8 +303,12 @@ def _slotted(vector, e):
 
 def _tagged_run(gens, ambient: Ideal, slots: int = 1):
     """Schreyer run on E_1*g_j1 + ... + E_s*g_js + e_j and E_i*d_k in
-    ring[E_1..E_s, e_1..e_t].  Returns the tagged ring, the basis (each
-    leading monomial has a slot tag) and the syzygies (none has one)."""
+    ring[E_1..E_s, e_1..e_t], for d_k the ambient's reduced basis.  The
+    E_i*d_k start the run as held elements (see ``_buchberger``): within
+    a slot they are a reduced basis already, so they form no pairs among
+    themselves and are not interreduced, and a redundant or non-basis
+    ambient generator never enters.  Returns the tagged ring, the basis
+    (each leading monomial has a slot tag) and the syzygies (none has one)."""
     ring = ambient.ring
     tags = []
     for j in range(slots + len(gens)):
@@ -297,9 +318,9 @@ def _tagged_run(gens, ambient: Ideal, slots: int = 1):
         (range(width), LEX), (range(width, width + ring.nvars), ring.order)))
     e = [tagged.var(name) for name in tags]
     polys = [_slotted(g, e[:slots]) + e[slots + j] for j, g in enumerate(gens)]
-    polys += [tag * d.map_to(tagged) for tag in e[:slots] for d in ambient.generators]
+    held = [tag * d.map_to(tagged) for tag in e[:slots] for d in ambient.groebner_basis()]
     found: list = []
-    basis = _buchberger(polys, tagged, found, slots)
+    basis = _buchberger(polys, tagged, found, slots, held)
     return tagged, basis, found
 
 
@@ -395,20 +416,37 @@ def leading_dimension(leads, nvars: int) -> int:
     return -1 if sets is None else len(sets[0])
 
 
+def dimension_below(ideal: Ideal, extra, d: int) -> bool:
+    """dim(ideal + (extra)) < d, from a run of the sum grown from the held
+    basis that stops at the first sign of the drop (``_buchberger``'s
+    ``below``); the sum is only built in full when its dimension stays."""
+    extra = Ideal(ideal.ring, extra).generators
+    return d >= 0 and _buchberger(extra, ideal.ring, held=ideal.groebner_basis(),
+                                  below=d) is None
+
+
 def independent_sets(ideal: Ideal):
     """All maximal-size variable subsets independent modulo LT(ideal);
     None for the unit ideal."""
     return _independent_sets([g.LM for g in ideal.groebner_basis()], ideal.ring.nvars)
 
 
-def _independent_sets(leads, nvars: int):
-    """All maximal-size variable subsets that contain the support of no
-    monomial in ``leads``; None when one of them is 1."""
+def _independent(leads, nvars: int, size: int):
+    """The variable subsets of ``size`` that contain the support of no
+    monomial in ``leads``, lazily; none at all when one of them is 1.
+    Subsets of independent sets are independent, so there are none of
+    any larger size either when there are none of this one."""
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    if not all(supports):
-        return None
+    return (set(combo) for combo in combinations(range(nvars), size)
+            if not any(s <= set(combo) for s in supports))
+
+
+def _independent_sets(leads, nvars: int):
+    """All maximal-size independent variable subsets modulo the monomials
+    ``leads``; None when one of them is 1, which leaves not even the empty
+    set independent."""
     for size in range(nvars, -1, -1):
-        found = [set(combo) for combo in combinations(range(nvars), size)
-                 if not any(s <= set(combo) for s in supports)]
+        found = list(_independent(leads, nvars, size))
         if found:
-            return found    # size 0 always qualifies: no support is empty
+            return found
+    return None

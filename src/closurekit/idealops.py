@@ -3,6 +3,7 @@ intersection, radical membership, radicals, and the Jacobian test ideal.
 
 Colon ideals are syzygy reads: I : (g_1..g_s) is the kernel of
 R -> (R/I)^s, h -> (h*g_1..h*g_s), read off one tagged run of the engine.
+Modulo D the run starts from the reduced basis of I + D, grown from D's.
 ``intersect`` and ``saturation`` contract an ideal in one adjoined
 variable to the ring; ``intersect`` serves only the radical's recursion.
 
@@ -112,7 +113,7 @@ def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
         raise RingMismatch("quotient arguments live in different rings")
     # J ⊆ D: the zero vector has the syzygy 1, so every element qualifies
     vector = ctx.reduce_all(J.generators) or [ctx.ring.zero]
-    ambient = Ideal(ctx.ring, list(I.generators) + list(ctx.defining.generators))
+    ambient = ctx.defining.plus(I.generators)
     quo = Ideal(ctx.ring, [a for (a,) in syzygies([vector], ambient)])
     return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
 

@@ -28,7 +28,7 @@ from .errors import (
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from .groebner import Ideal, contract, lift_all, normal_form
+from .groebner import Ideal, contract, ideals_equal, lift_all, normal_form
 from .idealops import (
     QuotientRingContext,
     annihilator,
@@ -181,9 +181,12 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     every component, while equal dimension forces the candidate into a
     minimal prime.  LT(D) + (LM f) lies in LT(D + (f)), so its dimension
     bounds dim(D + (f)) from above; when the bound is already below
-    dim(D), D + (f) is not built.  The full annihilator is only computed
-    for the element actually returned."""
-    from .groebner import dimension, leading_dimension
+    dim(D), D + (f) is not built.  Otherwise ``dimension_below`` grows
+    D + (f) from D's held basis and stops at the first basis element
+    whose leading monomial drops the dimension, so only a candidate whose
+    dimension stays gets its full basis.  The full annihilator is only
+    computed for the element actually returned."""
+    from .groebner import dimension, dimension_below, leading_dimension
 
     gens, candidates = _candidates(R, I)
     if not gens:
@@ -194,7 +197,7 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     first_nzd = None
     for f in candidates:
         if (leading_dimension(leads + [f.LM], R.ring.nvars) >= base_dim
-                and dimension(D.canonical([f])) == base_dim):
+                and not dimension_below(D, [f], base_dim)):
             ann = annihilator(f, R.ctx)
             if ann.is_zero():
                 raise AssertionError("dimension flagged a nonzerodivisor")
@@ -390,7 +393,8 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
     (a) one fresh loop step finds every component normal: its test
         ideal is the unit ideal, or J is proper and Hom(J, J) = R;
     (b) eliminating the adjoined variables recovers, across all
-        components together, exactly the radical of the input ideal;
+        components together, exactly the radical of the input ideal,
+        and no two components have the same image;
     (c) every adjoined variable carries a monic quadratic that still
         lies in its component's defining ideal;
     (d) every tower denominator is a nonzerodivisor in the output ring.
@@ -398,13 +402,17 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
     Each component is contracted once, to its image I_j in the input
     ring.  Globally, (b) requires each product of one generator per image
     to lie in sqrt(D0), as sqrt(∩ I_j) = sqrt(∏ I_j); D0 ⊆ ∩ I_j needs no
-    check, since the per-component half puts D0 into every I_j.  (d) is
+    check, since the per-component half puts D0 into every I_j.  The
+    components of a true result come from disjoint sets of minimal primes,
+    so their images differ: equal images mean a component was doubled,
+    as a split of a non-radical input can do.  (d) is
     stronger than a check at the denominator's own level, whose ring
     embeds in the output ring.
     """
     _require(bool(result.components), "no output component, but the input ring is nonzero")
     report = VerificationReport()
     products = [R0.ring.one]
+    images = {}     # component index -> its image in the input ring
 
     for comp in result.components:
         pres = comp.presentation
@@ -423,6 +431,10 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         for g in R0.defining.generators:
             _require(normal_form(g, image).is_zero(),
                      f"component {comp.index}: input relation escapes the image")
+        for i, other in images.items():
+            _require(not ideals_equal(image, other),
+                     f"components {i} and {comp.index} have the same image in the input ring")
+        images[comp.index] = image
         products = R0.ctx.reduce_all(p * g for p in products for g in image.generators)
         report.note(f"component {comp.index}: contains the input relations")
 

@@ -206,33 +206,40 @@ def _poly_from_coeffs(ring, monomials, coeffs):
 
 def brute_force_syzygies(gens, ambient_gens, degree):
     """All syzygy vectors with entries of total degree <= degree, found by
-    a dense nullspace computation: sum(a_j g_j) + sum(b_k d_k) = 0."""
-    ring = gens[0].ring
+    a dense nullspace computation: sum(a_j g_j) + sum(b_k d_k) = 0.  The
+    g_j may also be vectors of one length s; then the equation holds in
+    every entry, with multipliers b_k of their own per entry."""
+    vectors = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
+    width = len(vectors[0])
+    ring = vectors[0][0].ring
     monos = monomials_up_to(ring.nvars, degree)
-    carriers = list(gens) + list(ambient_gens)
-    target_deg = degree + max(g.total_degree() for g in carriers)
+    carriers = vectors + [(d,) for d in ambient_gens]
+    target_deg = degree + max(p.total_degree() for v in carriers for p in v)
     target_monos = monomials_up_to(ring.nvars, target_deg)
     index = {m: i for i, m in enumerate(target_monos)}
+    nrows = width * len(target_monos)
 
-    columns = []
-    for g in carriers:
-        for m in monos:
-            col = [Fraction(0)] * len(target_monos)
-            shifted = g.mul_term(m, ring.field.one)
-            for mm, cc in shifted.terms:
-                col[index[mm]] += cc.value
-            columns.append(col)
-    rows = [[columns[j][i] for j in range(len(columns))]
-            for i in range(len(target_monos))]
-    vectors = []
+    def column(slots, m):
+        col = [Fraction(0)] * nrows
+        for slot, g in slots:
+            for mm, cc in g.mul_term(m, ring.field.one).terms:
+                col[slot * len(target_monos) + index[mm]] += cc.value
+        return col
+
+    columns = [column([(slot, p) for slot, p in enumerate(v) if p], m)
+               for v in vectors for m in monos]
+    columns += [column([(slot, d)], m)
+                for d in ambient_gens for slot in range(width) for m in monos]
+    rows = [[columns[j][i] for j in range(len(columns))] for i in range(nrows)]
+    out = []
     for vec in nullspace(rows, len(columns), ring.field.characteristic):
         parts = []
         for j in range(len(gens)):
             chunk = vec[j * len(monos):(j + 1) * len(monos)]
             parts.append(_poly_from_coeffs(ring, monos, chunk))
         if any(parts):
-            vectors.append(tuple(parts))
-    return vectors
+            out.append(tuple(parts))
+    return out
 
 
 def in_module_span(vector, generators, ambient_gens, degree):

@@ -2,12 +2,15 @@
 
 LT(D) + (LM f) lies in LT(D + (f)), so the dimension of that monomial
 ideal bounds dim(D + (f)) from above, and a candidate whose bound is
-below dim(D) is passed over without building D + (f).  The reference
-below is the scan without the shortcut: it builds D + (f) for every
-candidate it reaches.  Every call ``normalize`` makes on every fixture
-(both orders) and on seeded split-mix and prime-space benchmark inputs
-is replayed through it and must give the same ``SplitDecision``: the
-same element, and an annihilator with the same generators.
+below dim(D) is passed over without building D + (f).  Any other
+candidate's run of D + (f) stops at the first basis element whose
+leading monomial drops the dimension (``dimension_below``).  The
+reference below is the scan without either shortcut: it builds the full
+reduced basis of D + (f) for every candidate it reaches.  Every call
+``normalize`` makes on every fixture (both orders) and on seeded
+benchmark inputs of all three workloads is replayed through it and must
+give the same ``SplitDecision``: the same element, and an annihilator
+with the same generators.
 """
 import importlib
 import sys
@@ -22,6 +25,7 @@ from closurekit.idealops import annihilator
 from closurekit.normalize import SplitDecision, _candidates
 
 normalize_module = importlib.import_module("closurekit.normalize")
+groebner_module = importlib.import_module("closurekit.groebner")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,9 +62,15 @@ def _skips(R, I):
 
 def _replay(monkeypatch, texts, order=DEGREVLEX):
     """Normalize each input, checking every scan against the reference;
-    returns (scans, splits, skipped candidates)."""
+    returns (scans, splits, skipped candidates, runs stopped early)."""
     real = normalize_module.pick_nzd_or_split
-    seen = []
+    real_run = groebner_module._buchberger
+    seen, stops = [], []
+
+    def run(*args, **kwargs):
+        basis = real_run(*args, **kwargs)
+        stops.append(basis is None)
+        return basis
 
     def checked(R, I):
         decision = real(R, I)
@@ -74,10 +84,11 @@ def _replay(monkeypatch, texts, order=DEGREVLEX):
         return decision
 
     monkeypatch.setattr(normalize_module, "pick_nzd_or_split", checked)
+    monkeypatch.setattr(groebner_module, "_buchberger", run)
     for text in texts:
         doc = parse_input(text, order)
         normalize(presentation(doc.ring, doc.generators))
-    return len(seen), sum(s for s, _ in seen), sum(k for _, k in seen)
+    return len(seen), sum(s for s, _ in seen), sum(k for _, k in seen), sum(stops)
 
 
 def _fixture_texts():
@@ -93,11 +104,11 @@ def _fixture_texts():
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_fixture_scans_match_the_full_scan(monkeypatch, order):
-    scans, splits, skipped = _replay(monkeypatch, _fixture_texts(), order)
-    assert scans and splits and skipped
+    scans, splits, skipped, stops = _replay(monkeypatch, _fixture_texts(), order)
+    assert scans and splits and skipped and stops
 
 
-@pytest.mark.parametrize("workload", ["split-mix", "prime-space"])
+@pytest.mark.parametrize("workload", ["curve-tower", "split-mix", "prime-space"])
 def test_workload_scans_match_the_full_scan(monkeypatch, workload):
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -109,6 +120,6 @@ def test_workload_scans_match_the_full_scan(monkeypatch, workload):
     for seed in (1, 2):
         stream = workloads.stream(workload, seed)
         texts += [next(stream).text for _ in workloads.WORKLOADS[workload].families]
-    scans, splits, skipped = _replay(monkeypatch, texts)
-    assert scans and skipped
+    scans, splits, skipped, stops = _replay(monkeypatch, texts)
+    assert scans and skipped and stops
     assert splits if workload == "split-mix" else not splits

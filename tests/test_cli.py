@@ -173,6 +173,19 @@ def test_check_rejects_non_radical(tmp_path, capsys):
     assert "radical" in err
 
 
+def test_verify_rejects_doubled_component(tmp_path, capsys):
+    # without --check, x^2 splits on its zerodivisor x into (x) twice
+    path = tmp_path / "nonradical.txt"
+    path.write_text(NON_RADICAL)
+    code, out, err = run(capsys, ["normalize", str(path), "--verify"])
+    assert code == 4
+    assert out == ""
+    assert err == ("verification failed: components 1 and 2 have the same "
+                   "image in the input ring\n")
+    code, out, _ = run(capsys, ["normalize", str(path)])
+    assert code == 0 and out.count("relations: x") == 2
+
+
 def test_check_accepts_radical_input(cusp_file, capsys):
     code, _, _ = run(capsys, ["normalize", cusp_file, "--check", "--json"])
     assert code == 0

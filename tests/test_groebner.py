@@ -23,9 +23,10 @@ from closurekit import (
     syzygies,
 )
 from closurekit.errors import NotAMember, RingMismatch, UnknownVariable
-from closurekit.groebner import contract, lift_all
+from closurekit.groebner import contract, dimension_below, lift_all
 from conftest import P
 from oracles import (
+    all_in_module_span,
     brute_force_syzygies,
     in_module_span,
     monomials_up_to,
@@ -312,6 +313,46 @@ def test_dimension_antitone(ring_xyz):
     assert dims[0] == 3 and dims[-1] == 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_dimension_below_matches_the_full_sum(monkeypatch, field, order):
+    # dimension_below(I, extra, d) against the dimension of the full sum,
+    # for every d from -1 to nvars + 1: d = 0 asks for the unit ideal, and
+    # d above dim(I) holds before any pair is formed
+    groebner = importlib.import_module("closurekit.groebner")
+    real, stops = groebner._buchberger, []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        stops.append(out is None)
+        return out
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    R = PolyRing(field, ["x", "y", "z"], order)
+    x, y, z = R.gens()
+    rng = random.Random(6151)
+    monos = monomials_up_to(3, 2)
+
+    def small():
+        return R.from_dict({m: rng.choice((1, -1, 2, -3)) for m in rng.sample(monos, 3)})
+
+    ideals = [[], [x * y - z * z], [y - x * x, z - x * x * x], [x * z, y * z],
+              [x * x - 1, y - x, z * z - y], [small()], [small(), small()]]
+    extras = [[], [R.zero], [x], [z - 2], [x * y + z], [x - 1, x + 1],
+              [x, y * y - 1, z], [small()], [small(), small()]]
+    seen = set()
+    for gens in ideals:
+        I = Ideal(R, gens)
+        for extra in extras:
+            full = dimension(I.canonical(extra))
+            for d in range(-1, R.nvars + 2):
+                assert dimension_below(I, extra, d) == (full < d), (gens, extra, d)
+            seen |= {("unit", full == -1), ("point", full == 0),
+                     ("dropped", full < dimension(I))}
+    assert {("unit", True), ("point", True), ("dropped", True)} <= seen
+    assert any(stops) and not all(stops)
+
+
 def test_membership_order_independent(ring_xy):
     rng = random.Random(7200)
     from oracles import monomials_up_to
@@ -539,6 +580,57 @@ def test_basis_of_mutually_reducing_generators_is_reduced(field, kind):
             shuffled = rng.sample(gens, len(gens))
             assert Ideal(R, shuffled).groebner_basis() == basis
         assert Ideal(R, gens + gens[::-1]).groebner_basis() == basis
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("slots", [1, 2])
+def test_tagged_runs_start_from_the_ambient_basis(monkeypatch, field, slots):
+    # the ambient is given by generators that are not its reduced basis
+    # (y^2 - x*z is missing), one of them a combination of the others; the
+    # tagged run holds E_i*b for each b of the basis and pairs only the
+    # tagged generators
+    groebner = importlib.import_module("closurekit.groebner")
+    real, held = groebner._buchberger, []
+
+    def recorded(polys, ring, syzygies=None, slots=0, held_start=()):
+        if slots:
+            held.append(len(held_start))
+        return real(polys, ring, syzygies, slots, held_start)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(field, ["x", "y", "z"])
+    x, y, z = R.gens()
+    f, g = x * y - z, x * x - y
+    amb = [f, g, x * f + (z - 1) * g]
+    ambient = Ideal(R, amb)
+    basis = ambient.groebner_basis()
+    assert len(basis) == 3 and P(R, "y^2 - x*z") in basis and amb[2] not in basis
+    gens = {1: [(x,), (y + z,), (z * z,)],
+            2: [(x, y), (y, z), (z, x * x)]}[slots]
+
+    def in_ambient(vector, combo):
+        return all(ideal_member(p - sum((c * v[i] for c, v in zip(combo, gens)), R.zero),
+                                ambient) for i, p in enumerate(vector))
+
+    module = syzygies(gens, ambient)
+    assert held == [slots * len(basis)]
+    zero = (R.zero,) * slots
+    assert module and all(in_ambient(zero, vec) for vec in module)
+    # every syzygy with entries of degree <= 3 is a combination of the
+    # module's generators with coefficients of degree <= 2
+    brute = brute_force_syzygies(gens, amb, 3)
+    assert brute and all_in_module_span(brute, list(module), amb, 2)
+
+    targets = [tuple(x * gens[0][i] + y * gens[1][i] + amb[i] for i in range(slots)),
+               tuple(z * gens[2][i] - f for i in range(slots)), (R.one,) * slots]
+    lifts, again = lift_all(targets, gens, ambient)
+    assert again == module and held == [slots * len(basis)] * 2
+    assert lifts[2] is None
+    for vector, combo in zip(targets[:2], lifts[:2]):
+        assert combo is not None and in_ambient(vector, combo)
+    # only the basis enters: the same ambient given by its basis gives the
+    # same run
+    assert lift_all(targets, gens, Ideal(R, basis)) == (lifts, module)
 
 
 def test_syzygies_of_mutually_reducing_generators(ring_xy):

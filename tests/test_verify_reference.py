@@ -7,6 +7,10 @@ fixture and on one round of seed-1 and seed-2 split-mix inputs, the true
 result and every mutant that drops one component must get the same
 verdict from both, with the same message.  On those split-mix rounds
 every mutant is rejected.
+
+``verify_result`` also rejects two components with equal images, which
+the reference does not look for.  Only the non-radical x^2 has them: it
+splits into (x) twice, and its true result is rejected by that check.
 """
 import sys
 from pathlib import Path
@@ -32,19 +36,32 @@ def _verdict(pres, components):
     return None
 
 
+def _doubled(components, images):
+    """The message for the first two components with equal images, or None."""
+    for j in range(len(images)):
+        for i in range(j):
+            if ideals_equal(images[i], images[j]):
+                return (f"components {components[i].index} and {components[j].index} "
+                        "have the same image in the input ring")
+    return None
+
+
 def _compare(texts):
     """Check every input's result and its drop-one mutants; returns the
-    mutants' verdicts.  A mutant passes exactly when the dropped image
-    equals one that is left, as for the non-radical x^2, which splits
-    into (x) twice."""
-    verdicts = []
+    mutants' verdicts and the verdicts on true results that were rejected.
+    A mutant passes exactly when the dropped image equals one that is
+    left, as for the non-radical x^2, which splits into (x) twice."""
+    verdicts, rejected = [], []
     for text in texts:
         doc = parse_input(text, DEGREVLEX)
         pres = presentation(doc.ring, doc.generators)
         components = normalize(pres).components
         images = [contract(c.presentation.defining, doc.ring) for c in components]
         assert reference_global_check(pres.defining, images) is None
-        assert _verdict(pres, components) is None
+        verdict = _verdict(pres, components)
+        assert verdict == _doubled(components, images)
+        if verdict is not None:
+            rejected.append(verdict)
         if len(components) < 2:
             continue
         for i in range(len(components)):
@@ -54,7 +71,7 @@ def _compare(texts):
                             for j, image in enumerate(images) if j != i)
             assert (expected is None) == duplicate
             verdicts.append(expected)
-    return verdicts
+    return verdicts, rejected
 
 
 def _fixture_texts():
@@ -69,7 +86,19 @@ def _fixture_texts():
 
 
 def test_fixtures_match_the_intersect_reference():
-    assert _compare(_fixture_texts())
+    verdicts, rejected = _compare(_fixture_texts())
+    assert verdicts
+    assert rejected == ["components 1 and 2 have the same image in the input ring"]
+
+
+def test_doubled_component_is_rejected():
+    doc = parse_input((FIXTURES / "nonradical.txt").read_text(), DEGREVLEX)
+    pres = presentation(doc.ring, doc.generators)
+    components = normalize(pres).components
+    assert [c.presentation.defining.generators for c in components] == [(doc.ring.var("x"),)] * 2
+    with pytest.raises(VerificationFailed,
+                       match="^components 1 and 2 have the same image in the input ring$"):
+        verify_result(pres, NormalizationResult(components))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -81,5 +110,6 @@ def test_split_mix_matches_the_intersect_reference(seed):
         sys.path.remove(str(PERFBENCH))
     stream = workloads.stream("split-mix", seed)
     texts = [next(stream).text for _ in workloads.WORKLOADS["split-mix"].families]
-    verdicts = _compare(texts)
+    verdicts, rejected = _compare(texts)
     assert verdicts and None not in verdicts
+    assert not rejected
