@@ -5,9 +5,10 @@ Only this module fills an ideal's memo without a fresh run:
 reduced basis they have, and ``I.plus(extra)`` and ``I.canonical(extra)``
 grow the basis of I + (extra) from I's.  ``plus`` keeps I's generators
 followed by the extras, as the Jacobian test ideal needs; ``canonical``
-is generated by the basis.  ``dimension_below`` grows a sum the same way
-but stops as soon as its leading monomials show the dimension below a
-bound, so a sum whose dimension drops is never finished.
+is generated by the basis.  ``dimension_below`` first reads the leading
+monomials of a sum's summands, then grows the sum the same way but stops
+as soon as its leading monomials show the dimension below a bound, so a
+sum whose dimension drops is never finished.
 ``normal_form`` divides by the held basis with a first-divisor memo kept
 beside the bases (``Ideal._held``).
 
@@ -417,12 +418,18 @@ def leading_dimension(leads, nvars: int) -> int:
 
 
 def dimension_below(ideal: Ideal, extra, d: int) -> bool:
-    """dim(ideal + (extra)) < d, from a run of the sum grown from the held
-    basis that stops at the first sign of the drop (``_buchberger``'s
-    ``below``); the sum is only built in full when its dimension stays."""
-    extra = Ideal(ideal.ring, extra).generators
-    return d >= 0 and _buchberger(extra, ideal.ring, held=ideal.groebner_basis(),
-                                  below=d) is None
+    """dim(ideal + (extra)) < d.  LT(ideal) + (LM of the extras) lies in
+    the sum's leading-term ideal, so when it leaves no independent set of
+    size d the answer is True with no run.  Otherwise a run of the sum
+    grown from the held basis stops at the first sign of the drop
+    (``_buchberger``'s ``below``); the sum is only built in full when its
+    dimension stays."""
+    if d < 0:
+        return False
+    extra, basis = Ideal(ideal.ring, extra).generators, ideal.groebner_basis()
+    leads = [p.LM for p in chain(basis, extra)]
+    return (next(_independent(leads, ideal.ring.nvars, d), None) is None
+            or _buchberger(extra, ideal.ring, held=basis, below=d) is None)
 
 
 def independent_sets(ideal: Ideal):

@@ -4,6 +4,9 @@ intersection, radical membership, radicals, and the Jacobian test ideal.
 Colon ideals are syzygy reads: I : (g_1..g_s) is the kernel of
 R -> (R/I)^s, h -> (h*g_1..h*g_s), read off one tagged run of the engine.
 Modulo D the run starts from the reduced basis of I + D, grown from D's.
+Like every other ideal of ring/D here, a colon ideal is held as its
+preimage in the polynomial ring: (I + D) : J, which contains D,
+generated by its reduced basis and not reduced modulo D.
 ``intersect`` and ``saturation`` contract an ideal in one adjoined
 variable to the ring; ``intersect`` serves only the radical's recursion.
 
@@ -108,23 +111,23 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_quotient(I: Ideal, J: Ideal, ctx: QuotientRingContext) -> Ideal:
-    """Generators of {h : h*J ⊆ I + D} reduced modulo D."""
+    """(I + D) : J = {h : h*J ⊆ I + D}, which contains D, generated by
+    its reduced basis."""
     if I.ring != ctx.ring or J.ring != ctx.ring:
         raise RingMismatch("quotient arguments live in different rings")
     # J ⊆ D: the zero vector has the syzygy 1, so every element qualifies
     vector = ctx.reduce_all(J.generators) or [ctx.ring.zero]
     ambient = ctx.defining.plus(I.generators)
-    quo = Ideal(ctx.ring, [a for (a,) in syzygies([vector], ambient)])
-    return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
+    return Ideal(ctx.ring, [a for (a,) in syzygies([vector], ambient)]).canonical()
 
 
 def annihilator(f: Polynomial, ctx: QuotientRingContext) -> Ideal:
-    """(0 : f) in ring/D, i.e. (D : f) reduced modulo D, read off the
-    syzygies of f modulo D (f = 0 has the syzygy 1)."""
+    """D : f, the preimage of (0 : f) in ring/D, generated by its reduced
+    basis and read off the syzygies of f modulo D (f = 0 has the syzygy
+    1).  f is a nonzerodivisor exactly when the result equals D."""
     if f.ring != ctx.ring:
         raise RingMismatch("element lives in a different ring")
-    quo = Ideal(ctx.ring, [a for (a,) in syzygies([ctx.nf(f)], ctx.defining)])
-    return Ideal(ctx.ring, ctx.reduce_all(quo.groebner_basis()))
+    return Ideal(ctx.ring, [a for (a,) in syzygies([ctx.nf(f)], ctx.defining)]).canonical()
 
 
 def saturation(I: Ideal, f: Polynomial) -> Ideal:

@@ -101,7 +101,8 @@ def is_fixed_point(endo: EndoPresentation) -> bool:
 @dataclass(frozen=True)
 class SplitDecision:
     """Either a nonzerodivisor (annihilator is None) or a zerodivisor
-    together with its nonzero annihilator."""
+    together with D : f, its annihilator's preimage, which is larger than
+    D and is the defining ideal of the split's second child."""
 
     f: Polynomial
     annihilator_ideal: "Ideal | None" = None
@@ -179,33 +180,30 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     Zerodivisors are detected by dimension: over a reduced defining
     ideal, adjoining a nonzerodivisor strictly drops the dimension of
     every component, while equal dimension forces the candidate into a
-    minimal prime.  LT(D) + (LM f) lies in LT(D + (f)), so its dimension
-    bounds dim(D + (f)) from above; when the bound is already below
-    dim(D), D + (f) is not built.  Otherwise ``dimension_below`` grows
-    D + (f) from D's held basis and stops at the first basis element
-    whose leading monomial drops the dimension, so only a candidate whose
-    dimension stays gets its full basis.  The full annihilator is only
-    computed for the element actually returned."""
-    from .groebner import dimension, dimension_below, leading_dimension
+    minimal prime.  ``dimension_below`` decides whether dim(D + (f))
+    drops, from leading terms alone when it can and otherwise from a run
+    that stops at the first sign of the drop, so only a candidate whose
+    dimension stays gets the full basis of D + (f).  The annihilator
+    D : f is only computed for the element actually returned; f is a
+    nonzerodivisor exactly when it equals D."""
+    from .groebner import dimension, dimension_below
 
     gens, candidates = _candidates(R, I)
     if not gens:
         raise EmptyIdeal("test ideal is zero in the quotient ring")
     D = R.defining
     base_dim = dimension(D)
-    leads = [g.LM for g in D.groebner_basis()]
     first_nzd = None
     for f in candidates:
-        if (leading_dimension(leads + [f.LM], R.ring.nvars) >= base_dim
-                and not dimension_below(D, [f], base_dim)):
+        if not dimension_below(D, [f], base_dim):
             ann = annihilator(f, R.ctx)
-            if ann.is_zero():
+            if ideals_equal(ann, D):
                 raise AssertionError("dimension flagged a nonzerodivisor")
             return _split_decision(R, f, ann)
         if first_nzd is None:
             first_nzd = f
     ann = annihilator(first_nzd, R.ctx)
-    if ann.is_zero():
+    if ideals_equal(ann, D):
         return SplitDecision(first_nzd)
     # the dimension filter can miss zerodivisors supported on small
     # components of a non-equidimensional ring; split on them anyway
@@ -216,8 +214,11 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
                       f: "Polynomial | SplitDecision") -> EndoPresentation:
     """Hom_R(I, I) = (1/f) (fI : I) presented by numerators over f.
 
-    ``f`` is a nonzerodivisor: a non-split SplitDecision, whose zero
-    annihilator was already computed, or a bare polynomial, checked here.
+    ``f`` is a nonzerodivisor: a non-split SplitDecision, whose
+    annihilator D : f = D was already computed, or a bare polynomial,
+    checked here.  The numerators are read off the generators of
+    (fI + D) : I; those in D have a zero normal form modulo D + (f), and
+    the others the same one as their normal forms modulo D.
     Because f is a nonzerodivisor modulo D, sum(c_j f a_j) lies in D exactly
     when sum(c_j a_j) does, so the one tagged run that lifts the products
     a_i a_j against f a_0..f a_t also yields the numerators' syzygies.
@@ -231,7 +232,7 @@ def endomorphism_ring(R: AffinePresentation, I: Ideal,
         f = ctx.nf(f.f)
     else:
         f = ctx.nf(f)
-        if not annihilator(f, ctx).is_zero():
+        if not ideals_equal(annihilator(f, ctx), ctx.defining):
             raise NotNonZeroDivisor(f"{f} has a nonzero annihilator")
     f_times_I = Ideal(ring, [ctx.nf(f * g) for g in I.generators])
     numerator_ideal = ideal_quotient(f_times_I, I, ctx)
@@ -304,16 +305,14 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
 
 
 def _split_component(comp: Component, decision: SplitDecision, next_index):
+    """Children D + (f) and D : f, the decision's own ideal."""
+    pres = comp.presentation
     children = []
-    for extra in ([decision.f], decision.annihilator_ideal.generators):
-        ideal = comp.presentation.defining.canonical(extra)
+    for ideal in (pres.defining.canonical([decision.f]), decision.annihilator_ideal):
         if ideal.contains_one():
             raise AssertionError("split factor collapsed to the unit ideal")
         child = AffinePresentation(
-            QuotientRingContext(comp.presentation.ring, ideal),
-            comp.presentation.adjoined,
-            comp.presentation.level,
-        )
+            QuotientRingContext(pres.ring, ideal), pres.adjoined, pres.level)
         children.append(Component(child, comp.iterations, next_index()))
     return children
 
@@ -408,35 +407,37 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
     as a split of a non-radical input can do.  (d) is
     stronger than a check at the denominator's own level, whose ring
     embeds in the output ring.
+
+    Messages and notes name each component by its position in
+    ``result.components``, the number the text output and the JSON list
+    give it.
     """
     _require(bool(result.components), "no output component, but the input ring is nonzero")
     report = VerificationReport()
     products = [R0.ring.one]
-    images = {}     # component index -> its image in the input ring
+    images = []     # the images of the components checked so far
 
-    for comp in result.components:
+    for k, comp in enumerate(result.components):
         pres = comp.presentation
         ctx = pres.ctx
 
         # (a) fresh fixed-point recheck
         kind, _ = _step(pres)
-        _require(kind != "split",
-                 f"component {comp.index}: output ring still splits")
-        _require(kind != "extend",
-                 f"component {comp.index}: endomorphism ring is strictly larger")
-        report.note(f"component {comp.index}: fixed-point recheck ok")
+        _require(kind != "split", f"component {k}: output ring still splits")
+        _require(kind != "extend", f"component {k}: endomorphism ring is strictly larger")
+        report.note(f"component {k}: fixed-point recheck ok")
 
         # (b) per-component direction: the input ideal maps into the image
         image = contract(pres.defining, R0.ring)
         for g in R0.defining.generators:
             _require(normal_form(g, image).is_zero(),
-                     f"component {comp.index}: input relation escapes the image")
-        for i, other in images.items():
+                     f"component {k}: input relation escapes the image")
+        for i, other in enumerate(images):
             _require(not ideals_equal(image, other),
-                     f"components {i} and {comp.index} have the same image in the input ring")
-        images[comp.index] = image
+                     f"components {i} and {k} have the same image in the input ring")
+        images.append(image)
         products = R0.ctx.reduce_all(p * g for p in products for g in image.generators)
-        report.note(f"component {comp.index}: contains the input relations")
+        report.note(f"component {k}: contains the input relations")
 
         # (c) integrality witnesses
         for adj in pres.adjoined:
@@ -447,16 +448,16 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
                      f"{adj.name}: integrality witness is not a monic quadratic")
             _require(ctx.is_zero(q),
                      f"{adj.name}: integrality witness left the defining ideal")
-        report.note(f"component {comp.index}: integrality witnesses ok")
+        report.note(f"component {k}: integrality witnesses ok")
 
         # (d) denominator certificates, one per distinct denominator
         denominators = {}
         for adj in pres.adjoined:
             denominators.setdefault(adj.denominator.map_to(pres.ring), adj.name)
         for d, name in denominators.items():
-            _require(annihilator(d, ctx).is_zero(),
+            _require(ideals_equal(annihilator(d, ctx), ctx.defining),
                      f"{name}: tower denominator is a zerodivisor in the output ring")
-        report.note(f"component {comp.index}: denominator certificates ok")
+        report.note(f"component {k}: denominator certificates ok")
 
     # (b) global direction: the product of the images lies in sqrt(D0)
     for p in products:

@@ -1,16 +1,18 @@
-"""``pick_nzd_or_split``'s leading-term shortcut against the full scan.
+"""The candidate scan's two shortcuts against the full scan.
 
-LT(D) + (LM f) lies in LT(D + (f)), so the dimension of that monomial
-ideal bounds dim(D + (f)) from above, and a candidate whose bound is
-below dim(D) is passed over without building D + (f).  Any other
-candidate's run of D + (f) stops at the first basis element whose
-leading monomial drops the dimension (``dimension_below``).  The
-reference below is the scan without either shortcut: it builds the full
-reduced basis of D + (f) for every candidate it reaches.  Every call
-``normalize`` makes on every fixture (both orders) and on seeded
-benchmark inputs of all three workloads is replayed through it and must
-give the same ``SplitDecision``: the same element, and an annihilator
-with the same generators.
+``pick_nzd_or_split`` asks ``dimension_below(D, [f], dim D)`` alone, and
+both shortcuts live there.  LT(D) + (LM f) lies in LT(D + (f)), so the
+dimension of that monomial ideal bounds dim(D + (f)) from above, and a
+candidate whose bound is below dim(D) is passed over without a run.  Any
+other candidate's run of D + (f) stops at the first basis element whose
+leading monomial drops the dimension.  The reference below is the scan
+without either shortcut: it builds the full reduced basis of D + (f) for
+every candidate it reaches, and calls the candidate a nonzerodivisor
+when its annihilator D : f equals D.  Every call ``normalize`` makes on
+every fixture (both orders) and on seeded benchmark inputs of all three
+workloads is replayed through it and must give the same
+``SplitDecision``: the same element, and an annihilator with the same
+generators.
 """
 import importlib
 import sys
@@ -20,7 +22,7 @@ import pytest
 
 from closurekit import DEGREVLEX, LEX, normalize, parse_input, presentation
 from closurekit.errors import ParseError
-from closurekit.groebner import dimension, leading_dimension
+from closurekit.groebner import dimension, ideals_equal, leading_dimension
 from closurekit.idealops import annihilator
 from closurekit.normalize import SplitDecision, _candidates
 
@@ -43,7 +45,7 @@ def _reference_pick(R, I):
         if first_nzd is None:
             first_nzd = f
     ann = annihilator(first_nzd, R.ctx)
-    return SplitDecision(first_nzd, None if ann.is_zero() else ann)
+    return SplitDecision(first_nzd, None if ideals_equal(ann, D) else ann)
 
 
 def _skips(R, I):

@@ -180,7 +180,7 @@ def test_verify_rejects_doubled_component(tmp_path, capsys):
     code, out, err = run(capsys, ["normalize", str(path), "--verify"])
     assert code == 4
     assert out == ""
-    assert err == ("verification failed: components 1 and 2 have the same "
+    assert err == ("verification failed: components 0 and 1 have the same "
                    "image in the input ring\n")
     code, out, _ = run(capsys, ["normalize", str(path)])
     assert code == 0 and out.count("relations: x") == 2

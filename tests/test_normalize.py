@@ -329,6 +329,34 @@ def test_verify_rejects_a_dropped_component(ring_xy, split):
         verify_result(pres, res)
 
 
+@pytest.mark.parametrize("split", [_split_cross, _split_axes], ids=["cross", "axes"])
+def test_split_builds_only_the_first_child(ring_xy, monkeypatch, split):
+    # the second child is the decision's D : f, which holds its basis, so
+    # a split runs the engine once, for D + (f)
+    groebner = importlib.import_module("closurekit.groebner")
+    normalize_module = importlib.import_module("closurekit.normalize")
+    real_run, real_split = groebner._buchberger, normalize_module._split_component
+    inside, runs = [], []
+
+    def run(*args, **kwargs):
+        if inside:
+            runs[-1] += 1
+        return real_run(*args, **kwargs)
+
+    def split_component(*args):
+        inside.append(True)
+        runs.append(0)
+        try:
+            return real_split(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(groebner, "_buchberger", run)
+    monkeypatch.setattr(normalize_module, "_split_component", split_component)
+    split(ring_xy)
+    assert runs and runs == [1] * len(runs)
+
+
 def test_verify_rejects_an_empty_result(ring_xy):
     # D is proper, so the input ring has at least one component
     pres = presentation(ring_xy, [P(ring_xy, "x*y")])
@@ -342,7 +370,7 @@ def test_verify_rejects_a_component_off_the_input(ring_xy):
     comp = res.components[1]
     comp.presentation = presentation(ring_xy, [P(ring_xy, "x - 1")])
     with pytest.raises(VerificationFailed,
-                       match="component 2: input relation escapes the image"):
+                       match="component 1: input relation escapes the image"):
         verify_result(pres, res)
 
 
