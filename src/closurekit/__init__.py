@@ -6,7 +6,7 @@ and presents the result as explicit generators and relations with the
 adjoined elements recorded as fractions over the input ring.
 """
 from . import errors
-from .fields import GF, QQ, Field, FieldElement, PrimeField, RationalField
+from .fields import GF, QQ, Field, PrimeField, RationalField
 from .ring import (
     Block,
     DEGREVLEX,
@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "GF", "QQ", "Field", "FieldElement", "PrimeField", "RationalField",
+    "GF", "QQ", "Field", "PrimeField", "RationalField",
     "Block", "DEGREVLEX", "LEX", "DegRevLex", "Lex", "MonomialOrder",
     "Polynomial", "PolyRing", "compare_monomials", "divide_with_remainder",
     "elimination_order", "poly_op",

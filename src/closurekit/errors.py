@@ -5,12 +5,8 @@ class ClosureKitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class FieldMismatch(ClosureKitError):
-    """Two field elements from different fields were combined."""
-
-
 class DivisionByZero(ClosureKitError, ZeroDivisionError):
-    """Inverse or division by the zero element of a field."""
+    """Inverse or division by zero in a field."""
 
 
 class NonPrimeModulus(ClosureKitError):

@@ -1,15 +1,17 @@
-"""Exact coefficient arithmetic: normalized rationals and prime fields.
+"""Coefficient fields: the rationals and prime fields.
 
-Every value is immutable and kept in canonical form, so equality is
-structural and all arithmetic is exact.  Rationals ride on
-``fractions.Fraction`` (already canonical: gcd(num, den) = 1, den >= 1);
-prime field residues are ints in [0, p).
+A coefficient is a plain value in canonical form, so equality is
+structural and arithmetic is exact: over QQ an ``int`` when integral,
+else a ``fractions.Fraction`` (gcd(num, den) = 1, den > 1); over GF(p)
+an ``int`` in [0, p).  Each field's ``raw`` is the one normalizer that
+makes these values; ``ring`` stores them and does all arithmetic on
+them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, NonPrimeModulus
+from .errors import DivisionByZero, NonPrimeModulus
 
 
 # the first twelve primes: as Miller-Rabin bases they decide primality
@@ -44,24 +46,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Descriptor for a coefficient field; makes and combines elements."""
+    """Descriptor for a coefficient field; ``raw`` turns an exact value
+    (``int``, ``Fraction`` or anything ``Fraction`` accepts) into the
+    canonical form that polynomials store."""
 
     characteristic = 0
 
-    def element(self, value) -> FieldElement:
-        raise NotImplementedError
-
     def raw(self, value):
-        """Canonical plain value, as polynomials store it (see ``ring``)."""
-        return self.element(value).value
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
+        raise NotImplementedError
 
 
 class RationalField(Field):
@@ -69,16 +61,11 @@ class RationalField(Field):
 
     characteristic = 0
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch("cannot move an element between fields")
-            return value
-        return FieldElement(self, Fraction(value))
-
     def raw(self, value):
         """An ``int`` when the value is integral, else a ``Fraction``."""
-        v = self.element(value).value
+        if value.__class__ is int:
+            return value
+        v = Fraction(value)
         return v.numerator if v.denominator == 1 else v
 
     def __eq__(self, other):
@@ -103,12 +90,15 @@ class PrimeField(Field):
         self.p = p
         self.characteristic = p
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch("cannot move an element between fields")
-            return value
-        return FieldElement(self, int(value) % self.p)
+    def raw(self, value):
+        """The residue in [0, p); a rational a/b maps to a * b^-1."""
+        p = self.p
+        if value.__class__ is int:
+            return value % p
+        v = Fraction(value)
+        if v.denominator % p == 0:
+            raise DivisionByZero(f"{v} has no image in GF({p})")
+        return v.numerator * pow(v.denominator, -1, p) % p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -125,105 +115,3 @@ QQ = RationalField()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-class FieldElement:
-    """An immutable element of a :class:`Field` in canonical form."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.characteristic:
-            return FieldElement(self.field, (self.value + other.value) % self.field.p)
-        return FieldElement(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.characteristic:
-            return FieldElement(self.field, (self.value - other.value) % self.field.p)
-        return FieldElement(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.characteristic:
-            return FieldElement(self.field, (self.value * other.value) % self.field.p)
-        return FieldElement(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse().__mul__(other)
-
-    def __neg__(self):
-        if self.field.characteristic:
-            return FieldElement(self.field, (-self.value) % self.field.p)
-        return FieldElement(self.field, -self.value)
-
-    def inverse(self) -> "FieldElement":
-        if not self.value:
-            raise DivisionByZero("inverse of zero")
-        if self.field.characteristic:
-            return FieldElement(self.field, pow(self.value, -1, self.field.p))
-        return FieldElement(self.field, 1 / self.value)
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"{self.field!r}({self.value})"
-

@@ -51,6 +51,7 @@ from .ring import (
     LEX,
     Polynomial,
     PolyRing,
+    _inverse,
     fresh_name,
 )
 
@@ -179,7 +180,7 @@ def _leading_coeff_in(p: Polynomial, i: int) -> Polynomial:
 
 def _var_power(ring: PolyRing, i: int, e: int) -> Polynomial:
     m = tuple(e if j == i else 0 for j in range(ring.nvars))
-    return ring.term(m, ring.field.one)
+    return ring.term(m, 1)
 
 
 def _pseudo_divide(f: Polynomial, g: Polynomial, i: int):
@@ -247,6 +248,7 @@ def _minimal_polynomial(I: Ideal, i: int) -> Polynomial:
     its combination as a polynomial in x_i; the first one that reduces
     to zero is the answer.  R/I must be finite-dimensional."""
     ring = I.ring
+    char = ring.field.characteristic
     x = _var_power(ring, i, 1)
     rows = {}       # leading monomial -> (monic row, its combination)
     power = normal_form(ring.one, I)    # nf(x_i^k)
@@ -259,7 +261,7 @@ def _minimal_polynomial(I: Ideal, i: int) -> Polynomial:
             r, comb = r - row * c, comb - row_comb * c
         if not r:
             return comb
-        rows[r.LM] = (r.monic(), comb * r.LC.inverse())
+        rows[r.LM] = (r.monic(), comb * _inverse(r.LC, char))
         k += 1
         power = normal_form(power * x, I)
 

@@ -4,12 +4,12 @@ Monomials are plain exponent tuples; a polynomial is an immutable,
 strictly descending term list under its ring's order.  The zero
 polynomial is the empty term list.
 
-Coefficients are stored raw: an ``int`` in [0, p) over GF(p); over QQ
-an ``int`` when integral, else a ``Fraction`` (integral rationals are
-the common case, and ``int`` arithmetic runs in C).  Arithmetic,
-division and the Buchberger loop work on these values directly;
-``FieldElement`` objects appear only at the public boundary (``terms``,
-``LC``, ``LT``, ``constant_value``).  Sorting goes through each order's
+Coefficients are stored raw, in the canonical form of the field's
+``raw``: an ``int`` in [0, p) over GF(p); over QQ an ``int`` when
+integral, else a ``Fraction`` (integral rationals are the common case,
+and ``int`` arithmetic runs in C).  Arithmetic, division and the
+Buchberger loop work on these values directly, and ``terms`` and ``LC``
+hand out the stored values.  Sorting goes through each order's
 ``desc_key``, computed once per term.
 
 Division reduces in place: the working polynomial is a dict from
@@ -43,7 +43,7 @@ from .errors import (
     UnknownVariable,
     ZeroDivisorPolynomial,
 )
-from .fields import Field, FieldElement
+from .fields import Field
 
 Monomial = tuple  # exponent vector, one entry per ring variable
 
@@ -196,7 +196,6 @@ class PolyRing:
         self.order = order
         self.nvars = len(variables)
         self._zero_monomial = (0,) * self.nvars
-        self._one = field.raw(1)
 
     def index(self, name: str) -> int:
         try:
@@ -210,7 +209,7 @@ class PolyRing:
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, ((self._zero_monomial, self._one),))
+        return Polynomial(self, ((self._zero_monomial, 1),))
 
     def from_scalar(self, c) -> "Polynomial":
         return self.term(self._zero_monomial, c)
@@ -218,7 +217,7 @@ class PolyRing:
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         m = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((m, self._one),))
+        return Polynomial(self, ((m, 1),))
 
     def gens(self):
         return [self.var(v) for v in self.variables]
@@ -325,9 +324,8 @@ class Polynomial:
 
     @property
     def terms(self):
-        """The terms as (monomial, FieldElement) pairs, largest first."""
-        element = self.ring.field.element
-        return tuple([(m, element(c)) for m, c in self.raw])
+        """The stored (monomial, coefficient) pairs, largest first."""
+        return self.raw
 
     def is_zero(self) -> bool:
         return not self.raw
@@ -338,24 +336,13 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.raw or self.raw[0][0] == self.ring._zero_monomial
 
-    def constant_value(self) -> FieldElement:
-        if not self.raw:
-            return self.ring.field.zero
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.LC
-
     @property
     def LM(self) -> Monomial:
         return self.raw[0][0]
 
     @property
-    def LC(self) -> FieldElement:
-        return self.ring.field.element(self.raw[0][1])
-
-    @property
-    def LT(self):
-        return (self.raw[0][0], self.LC)
+    def LC(self):
+        return self.raw[0][1]
 
     def total_degree(self) -> int:
         if not self.raw:
@@ -392,7 +379,7 @@ class Polynomial:
             if other.ring != self.ring:
                 raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
             return other
-        if isinstance(other, (int, FieldElement, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.from_scalar(other)
         return NotImplemented
 
@@ -437,7 +424,7 @@ class Polynomial:
         return Polynomial(self.ring, [(m, _rational(k * c)) for m, k in self.raw])
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement, Fraction)):
+        if isinstance(other, (int, Fraction)):
             c = self.ring.field.raw(other)
             return self._scale(c) if c else self.ring.zero
         other = self._check(other)

@@ -4,9 +4,10 @@ Nothing here goes through the package's Groebner machinery: comparisons
 come from the textbook definitions, memberships from explicit
 certificates or re-expansion, and syzygy completeness from a dense
 degree-by-degree linear solve over the rationals or GF(p).  The division
-reference works on dicts of ``FieldElement`` coefficients and finds
-leading terms with the order's ascending ``key``, so it shares neither
-the polynomial arithmetic nor the ``desc_key`` sorting of the kernel.
+reference works on coefficient dicts with the oracle's own scalars
+(``Fraction`` over QQ, ints mod p) and finds leading terms with the
+order's ascending ``key``, so it shares neither the polynomial arithmetic
+nor the ``desc_key`` sorting of the kernel.
 The one exception is ``reference_quotient``: it takes colon ideals by
 elimination and exact division, a second route through the package's
 ideal bases, against which the syzygy-based colon ideals are checked.
@@ -73,7 +74,7 @@ def substitute(p: Polynomial, target: PolyRing, images: dict) -> Polynomial:
     """Evaluate p with each variable replaced by its image polynomial."""
     result = target.zero
     for m, c in p.terms:
-        term = target.from_scalar(target.field.element(c.value))
+        term = target.from_scalar(c)
         for name, e in zip(p.ring.variables, m):
             if e:
                 term = term * images[name] ** e
@@ -86,8 +87,8 @@ def _leading(work, order):
 
 
 def _sorted_terms(d, order):
-    """(monomial, FieldElement) pairs of a coefficient dict, largest first."""
-    return tuple(sorted(((m, c) for m, c in d.items() if not c.is_zero()),
+    """(monomial, coefficient) pairs of a coefficient dict, largest first."""
+    return tuple(sorted(((m, c) for m, c in d.items() if c),
                         key=lambda t: order.key(t[0]), reverse=True))
 
 
@@ -100,31 +101,31 @@ def reference_divide(p, divisors, order=None):
     shape of ``Polynomial.terms``."""
     order = order or p.ring.order
     ring_order = p.ring.order
-    field = p.ring.field
+    coerce, inverse, canon = _scalars(p.ring.field.characteristic)
     divs = []
     for d in divisors:
-        dd = dict(d.terms)
+        dd = {m: coerce(c) for m, c in d.terms}
         lm = _leading(dd, order)
         divs.append((lm, dd[lm], dd))
     quotients = [{} for _ in divs]
     remainder = {}
-    work = dict(p.terms)
+    work = {m: coerce(c) for m, c in p.terms}
     while work:
         m = _leading(work, order)
         c = work[m]
         for i, (lm, lc, dd) in enumerate(divs):
             if all(a <= b for a, b in zip(lm, m)):
                 q = tuple(a - b for a, b in zip(m, lm))
-                coeff = c / lc
-                quotients[i][q] = quotients[i].get(q, field.zero) + coeff
+                coeff = canon(c * inverse(lc))
+                quotients[i][q] = canon(quotients[i].get(q, 0) + coeff)
                 for dm, dc in dd.items():
                     mm = tuple(a + b for a, b in zip(q, dm))
-                    work[mm] = work.get(mm, field.zero) - coeff * dc
-                    if work[mm].is_zero():
+                    work[mm] = canon(work.get(mm, 0) - coeff * dc)
+                    if not work[mm]:
                         del work[mm]
                 break
         else:
-            remainder[m] = remainder.get(m, field.zero) + c
+            remainder[m] = canon(remainder.get(m, 0) + c)
             del work[m]
     return ([_sorted_terms(q, ring_order) for q in quotients],
             _sorted_terms(remainder, ring_order))
@@ -133,16 +134,17 @@ def reference_divide(p, divisors, order=None):
 def reference_spoly(f, g):
     """lcm/LT(f) * f / LC(f) - lcm/LT(g) * g / LC(g), as term tuples."""
     order = f.ring.order
-    field = f.ring.field
-    fd, gd = dict(f.terms), dict(g.terms)
+    coerce, inverse, canon = _scalars(f.ring.field.characteristic)
+    fd = {m: coerce(c) for m, c in f.terms}
+    gd = {m: coerce(c) for m, c in g.terms}
     fm, gm = _leading(fd, order), _leading(gd, order)
     lcm = tuple(max(a, b) for a, b in zip(fm, gm))
     out = {}
     for dd, lm, sign in ((fd, fm, 1), (gd, gm, -1)):
-        scale = dd[lm].inverse() * sign
+        scale = canon(inverse(dd[lm]) * sign)
         for m, c in dd.items():
             mm = tuple(a + b - e for a, b, e in zip(m, lcm, lm))
-            out[mm] = out.get(mm, field.zero) + c * scale
+            out[mm] = canon(out.get(mm, 0) + c * scale)
     return _sorted_terms(out, order)
 
 
@@ -200,7 +202,7 @@ def _poly_from_coeffs(ring, monomials, coeffs):
     total = ring.zero
     for m, c in zip(monomials, coeffs):
         if c:
-            total = total + ring.term(m, ring.field.element(c))
+            total = total + ring.term(m, c)
     return total
 
 
@@ -222,8 +224,8 @@ def brute_force_syzygies(gens, ambient_gens, degree):
     def column(slots, m):
         col = [Fraction(0)] * nrows
         for slot, g in slots:
-            for mm, cc in g.mul_term(m, ring.field.one).terms:
-                col[slot * len(target_monos) + index[mm]] += cc.value
+            for mm, cc in g.mul_term(m, 1).terms:
+                col[slot * len(target_monos) + index[mm]] += cc
         return col
 
     columns = [column([(slot, p) for slot, p in enumerate(v) if p], m)
@@ -273,24 +275,24 @@ def all_in_module_span(vectors, generators, ambient_gens, degree):
             col = [Fraction(0)] * nrows
             for slot in range(width):
                 if gen[slot]:
-                    shifted = gen[slot].mul_term(m, ring.field.one)
+                    shifted = gen[slot].mul_term(m, 1)
                     for mm, cc in shifted.terms:
-                        col[slot * len(target_monos) + index[mm]] += cc.value
+                        col[slot * len(target_monos) + index[mm]] += cc
             columns.append(col)
     for d in ambient_gens:
         for slot in range(width):
             for m in monos:
                 col = [Fraction(0)] * nrows
-                shifted = d.mul_term(m, ring.field.one)
+                shifted = d.mul_term(m, 1)
                 for mm, cc in shifted.terms:
-                    col[slot * len(target_monos) + index[mm]] += cc.value
+                    col[slot * len(target_monos) + index[mm]] += cc
                 columns.append(col)
     ncols = len(columns)
     for vec in vectors:
         rhs = [Fraction(0)] * nrows
         for slot in range(width):
             for mm, cc in vec[slot].terms:
-                rhs[slot * len(target_monos) + index[mm]] = cc.value
+                rhs[slot * len(target_monos) + index[mm]] = cc
         columns.append(rhs)
 
     p = ring.field.characteristic
@@ -388,7 +390,7 @@ def reference_squarefree_part(f, i):
     for m, c in f.terms:
         if any(e for j, e in enumerate(m) if j != i):
             raise ValueError(f"not a polynomial in {ring.variables[i]} alone")
-        dense[m[i]] = coerce(c.value)
+        dense[m[i]] = coerce(c)
     a, b = dense, [canon(k * c) for k, c in enumerate(dense)][1:]
     while b:
         a, b = b, _dense_divmod(a, b, p)[1]

@@ -1,10 +1,11 @@
 """The raw-coefficient kernel against the naive reference, term for term.
 
 ``oracles.reference_divide`` is the textbook division loop on dicts of
-``FieldElement`` coefficients; the kernel must return exactly the same
-quotients and remainder (same divisor choices, same coefficients), over
-QQ and prime fields (GF(3) cancels often), under lex, degrevlex and
-block orders, and through the ``order=`` remap path.
+the oracle's own scalars (``Fraction`` over QQ, ints mod p); the kernel
+must return exactly the same quotients and remainder (same divisor
+choices, same coefficients), over QQ and prime fields (GF(3) cancels
+often), under lex, degrevlex and block orders, and through the
+``order=`` remap path.
 
 The engine's remainder-only entry ``ring.remainder`` runs the same loop
 without the quotient sink; it must agree with both, and so must the
@@ -46,7 +47,7 @@ def _random_poly(ring, rng, max_deg, max_terms):
     monos = monomials_up_to(ring.nvars, max_deg)
     d = {}
     for _ in range(rng.randint(1, max_terms)):
-        d[rng.choice(monos)] = ring.field.element(rng.randint(-5, 5))
+        d[rng.choice(monos)] = rng.randint(-5, 5)
     return ring.from_dict(d)
 
 

@@ -32,7 +32,7 @@ def random_poly(ring, rng, max_deg=4, max_terms=4, coeff=5):
         c = 0
         while not c:
             c = rng.randint(-coeff, coeff)
-        d[rng.choice(monos)] = ring.field.element(c)
+        d[rng.choice(monos)] = c
     return ring.from_dict(d)
 
 
@@ -52,7 +52,7 @@ def linearish(ring, rng):
             c = 0
             while not c:
                 c = rng.randint(-2, 2)
-            d[rng.choice(monos)] = ring.field.element(c)
+            d[rng.choice(monos)] = c
         p = ring.from_dict(d)
         if p.is_constant():
             return ring.var(ring.variables[0])

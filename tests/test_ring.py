@@ -122,7 +122,7 @@ def _random_poly(ring, rng, max_deg=4, max_terms=4):
         c = 0
         while not c:
             c = rng.randint(-5, 5)
-        d[m] = ring.field.element(c)
+        d[m] = c
     return ring.from_dict(d)
 
 
