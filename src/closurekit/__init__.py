@@ -16,10 +16,8 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     PolyRing,
-    compare_monomials,
     divide_with_remainder,
     elimination_order,
-    poly_op,
 )
 from .groebner import (
     Ideal,
@@ -49,11 +47,9 @@ from .normalize import (
     EndoPresentation,
     NormalizationResult,
     SplitDecision,
-    VerificationReport,
     choose_test_ideal,
     endomorphism_ring,
     extend_ring,
-    is_fixed_point,
     normalize,
     pick_nzd_or_split,
     presentation,
@@ -68,16 +64,14 @@ __all__ = [
     "errors",
     "GF", "QQ", "Field", "PrimeField", "RationalField",
     "Block", "DEGREVLEX", "LEX", "DegRevLex", "Lex", "MonomialOrder",
-    "Polynomial", "PolyRing", "compare_monomials", "divide_with_remainder",
-    "elimination_order", "poly_op",
+    "Polynomial", "PolyRing", "divide_with_remainder", "elimination_order",
     "Ideal", "buchberger", "dimension", "eliminate",
     "ideal_member", "ideals_equal", "lift", "normal_form", "syzygies",
     "QuotientRingContext", "annihilator", "ideal_quotient", "intersect",
     "jacobian_test_ideal", "radical", "radical_membership", "saturation",
     "AdjoinedVariable", "AffinePresentation", "Component", "EndoPresentation",
-    "NormalizationResult", "SplitDecision", "VerificationReport",
-    "choose_test_ideal", "endomorphism_ring", "extend_ring", "is_fixed_point",
-    "normalize", "pick_nzd_or_split", "presentation", "verify_result",
+    "NormalizationResult", "SplitDecision",
+    "choose_test_ideal", "endomorphism_ring", "extend_ring", "normalize", "pick_nzd_or_split", "presentation", "verify_result",
     "InputDocument", "parse_input", "parse_polynomial",
     "build_result_document", "emit_json", "run_cli",
     "__version__",

@@ -5,10 +5,11 @@ Only this module fills an ideal's memo without a fresh run:
 reduced basis they have, and ``I.plus(extra)`` and ``I.canonical(extra)``
 grow the basis of I + (extra) from I's.  ``plus`` keeps I's generators
 followed by the extras, as the Jacobian test ideal needs; ``canonical``
-is generated by the basis.  ``dimension_below`` first reads the leading
+is generated by the basis.  ``sum_at_least`` first reads the leading
 monomials of a sum's summands, then grows the sum the same way but stops
 as soon as its leading monomials show the dimension below a bound, so a
-sum whose dimension drops is never finished.
+sum whose dimension drops is never finished, and one whose dimension
+stays comes back as ``canonical`` builds it.
 ``normal_form`` divides by the held basis with a first-divisor memo kept
 beside the bases (``Ideal._held``).
 
@@ -402,58 +403,56 @@ def contract(ideal: Ideal, ring: PolyRing) -> Ideal:
 
 
 def dimension(ideal: Ideal) -> int:
-    """Krull dimension of ring/ideal via independent variable subsets.
+    """Krull dimension of ring/ideal, the size of a maximal independent
+    variable set.
 
     Returns -1 for the unit ideal so callers can branch on an empty
     variety without catching an exception.
     """
-    return leading_dimension([g.LM for g in ideal.groebner_basis()], ideal.ring.nvars)
+    u = independent_set(ideal)
+    return -1 if u is None else len(u)
 
 
-def leading_dimension(leads, nvars: int) -> int:
-    """Krull dimension of k[x_1..x_nvars] modulo the monomials ``leads``;
-    -1 when one of them is 1."""
-    sets = _independent_sets(leads, nvars)
-    return -1 if sets is None else len(sets[0])
+def independent_set(ideal: Ideal):
+    """The lexicographically first maximal-size variable subset independent
+    modulo LT(ideal), as a sorted index tuple; None for the unit ideal,
+    which leaves not even the empty set independent."""
+    leads, nvars = [g.LM for g in ideal.groebner_basis()], ideal.ring.nvars
+    for size in range(nvars, -1, -1):
+        u = next(_independent(leads, nvars, size), None)
+        if u is not None:
+            return u
+    return None
 
 
-def dimension_below(ideal: Ideal, extra, d: int) -> bool:
-    """dim(ideal + (extra)) < d.  LT(ideal) + (LM of the extras) lies in
-    the sum's leading-term ideal, so when it leaves no independent set of
-    size d the answer is True with no run.  Otherwise a run of the sum
-    grown from the held basis stops at the first sign of the drop
-    (``_buchberger``'s ``below``); the sum is only built in full when its
-    dimension stays."""
+def sum_at_least(ideal: Ideal, extra, d: int):
+    """ideal + (extra) as ``canonical`` builds it when its dimension is at
+    least d, else None; for d < 0 the sum.  LT(ideal) + (LM of the extras)
+    lies in the sum's leading-term ideal, so when it leaves no independent
+    set of size d the answer is None with no run.  Otherwise the run of the
+    sum grown from the held basis stops at the first sign of the drop
+    (``_buchberger``'s ``below``), so a sum whose dimension drops is never
+    finished."""
     if d < 0:
-        return False
-    extra, basis = Ideal(ideal.ring, extra).generators, ideal.groebner_basis()
-    leads = [p.LM for p in chain(basis, extra)]
-    return (next(_independent(leads, ideal.ring.nvars, d), None) is None
-            or _buchberger(extra, ideal.ring, held=basis, below=d) is None)
-
-
-def independent_sets(ideal: Ideal):
-    """All maximal-size variable subsets independent modulo LT(ideal);
-    None for the unit ideal."""
-    return _independent_sets([g.LM for g in ideal.groebner_basis()], ideal.ring.nvars)
+        return ideal.canonical(extra)
+    ring, basis = ideal.ring, ideal.groebner_basis()
+    extra = Ideal(ring, extra).generators
+    if next(_independent([p.LM for p in chain(basis, extra)], ring.nvars, d), None) is None:
+        return None
+    grown = _buchberger(extra, ring, held=basis, below=d)
+    if grown is None:
+        return None
+    out = Ideal(ring, grown)
+    out._bases[ring.order.name] = out.generators
+    return out
 
 
 def _independent(leads, nvars: int, size: int):
-    """The variable subsets of ``size`` that contain the support of no
-    monomial in ``leads``, lazily; none at all when one of them is 1.
-    Subsets of independent sets are independent, so there are none of
-    any larger size either when there are none of this one."""
+    """The variable subsets of ``size``, as sorted index tuples in
+    lexicographic order, that contain the support of no monomial in
+    ``leads``, lazily; none at all when one of them is 1.  Subsets of
+    independent sets are independent, so there are none of any larger
+    size either when there are none of this one."""
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    return (set(combo) for combo in combinations(range(nvars), size)
-            if not any(s <= set(combo) for s in supports))
-
-
-def _independent_sets(leads, nvars: int):
-    """All maximal-size independent variable subsets modulo the monomials
-    ``leads``; None when one of them is 1, which leaves not even the empty
-    set independent."""
-    for size in range(nvars, -1, -1):
-        found = list(_independent(leads, nvars, size))
-        if found:
-            return found
-    return None
+    return (combo for combo in combinations(range(nvars), size)
+            if not any(s.issubset(combo) for s in supports))

@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedCharacteristic,
     ZeroPolynomial,
 )
-from .groebner import (Ideal, contract, dimension, eliminate, independent_sets,
+from .groebner import (Ideal, contract, dimension, eliminate, independent_set,
                        normal_form, syzygies)
 from .ring import (
     Block,
@@ -303,8 +303,7 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
         return I.canonical()
     if I.is_zero():
         return I
-    sets = independent_sets(I)
-    u = tuple(sorted(min(sets, key=lambda s: tuple(sorted(s)))))
+    u = independent_set(I)
     if not u:
         return _radical_zerodim(I, char)
     dep = tuple(i for i in range(ring.nvars) if i not in set(u))

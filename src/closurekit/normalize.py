@@ -94,18 +94,16 @@ class EndoPresentation:
         return len(self.numerators) - 1
 
 
-def is_fixed_point(endo: EndoPresentation) -> bool:
-    return endo.t == 0
-
-
 @dataclass(frozen=True)
 class SplitDecision:
-    """Either a nonzerodivisor (annihilator is None) or a zerodivisor
-    together with D : f, its annihilator's preimage, which is larger than
-    D and is the defining ideal of the split's second child."""
+    """Either a nonzerodivisor (both ideals None) or a zerodivisor together
+    with the defining ideals of the split's two children: D : f, its
+    annihilator's preimage, which is larger than D, and D + (f), each
+    generated by and holding its reduced basis."""
 
     f: Polynomial
     annihilator_ideal: "Ideal | None" = None
+    sum_ideal: "Ideal | None" = None
 
     @property
     def is_split(self) -> bool:
@@ -165,11 +163,12 @@ def _candidates(R: AffinePresentation, I: Ideal):
     return gens, out
 
 
-def _split_decision(R: AffinePresentation, f: Polynomial, ann: Ideal) -> SplitDecision:
+def _split_decision(R: AffinePresentation, f: Polynomial, ann: Ideal,
+                    total: Ideal) -> SplitDecision:
     for a in ann.generators:
         if not R.ctx.is_zero(f * a):
             raise AssertionError("annihilator product escaped D")
-    return SplitDecision(f, ann)
+    return SplitDecision(f, ann, total)
 
 
 def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
@@ -180,13 +179,14 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     Zerodivisors are detected by dimension: over a reduced defining
     ideal, adjoining a nonzerodivisor strictly drops the dimension of
     every component, while equal dimension forces the candidate into a
-    minimal prime.  ``dimension_below`` decides whether dim(D + (f))
+    minimal prime.  ``sum_at_least`` decides whether dim(D + (f))
     drops, from leading terms alone when it can and otherwise from a run
     that stops at the first sign of the drop, so only a candidate whose
-    dimension stays gets the full basis of D + (f).  The annihilator
-    D : f is only computed for the element actually returned; f is a
-    nonzerodivisor exactly when it equals D."""
-    from .groebner import dimension, dimension_below
+    dimension stays gets the full basis of D + (f), and that sum is the
+    split's first child.  The annihilator D : f is only computed for the
+    element actually returned; f is a nonzerodivisor exactly when it
+    equals D."""
+    from .groebner import dimension, sum_at_least
 
     gens, candidates = _candidates(R, I)
     if not gens:
@@ -195,11 +195,12 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     base_dim = dimension(D)
     first_nzd = None
     for f in candidates:
-        if not dimension_below(D, [f], base_dim):
+        total = sum_at_least(D, [f], base_dim)
+        if total is not None:
             ann = annihilator(f, R.ctx)
             if ideals_equal(ann, D):
                 raise AssertionError("dimension flagged a nonzerodivisor")
-            return _split_decision(R, f, ann)
+            return _split_decision(R, f, ann, total)
         if first_nzd is None:
             first_nzd = f
     ann = annihilator(first_nzd, R.ctx)
@@ -207,7 +208,7 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
         return SplitDecision(first_nzd)
     # the dimension filter can miss zerodivisors supported on small
     # components of a non-equidimensional ring; split on them anyway
-    return _split_decision(R, first_nzd, ann)
+    return _split_decision(R, first_nzd, ann, D.canonical([first_nzd]))
 
 
 def endomorphism_ring(R: AffinePresentation, I: Ideal,
@@ -305,10 +306,10 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
 
 
 def _split_component(comp: Component, decision: SplitDecision, next_index):
-    """Children D + (f) and D : f, the decision's own ideal."""
+    """Children D + (f) and D : f, the two ideals the decision carries."""
     pres = comp.presentation
     children = []
-    for ideal in (pres.defining.canonical([decision.f]), decision.annihilator_ideal):
+    for ideal in (decision.sum_ideal, decision.annihilator_ideal):
         if ideal.contains_one():
             raise AssertionError("split factor collapsed to the unit ideal")
         child = AffinePresentation(
@@ -328,7 +329,7 @@ def _step(R: AffinePresentation, radical_strategy: str = "auto", events=None):
     if decision.is_split:
         return "split", decision
     endo = endomorphism_ring(R, test, decision)
-    if is_fixed_point(endo):
+    if endo.t == 0:
         return "hom-equal", None
     return "extend", endo
 
@@ -373,20 +374,12 @@ def normalize(R0: AffinePresentation, max_iterations: int = 32,
     return NormalizationResult(finished, trace)
 
 
-@dataclass
-class VerificationReport:
-    checks: list = field(default_factory=list)
-
-    def note(self, message: str):
-        self.checks.append(message)
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise VerificationFailed(message)
 
 
-def verify_result(R0: AffinePresentation, result: NormalizationResult) -> VerificationReport:
+def verify_result(R0: AffinePresentation, result: NormalizationResult) -> None:
     """Independent certification of a normalization result.
 
     (a) one fresh loop step finds every component normal: its test
@@ -396,7 +389,9 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         and no two components have the same image;
     (c) every adjoined variable carries a monic quadratic that still
         lies in its component's defining ideal;
-    (d) every tower denominator is a nonzerodivisor in the output ring.
+    (d) every tower denominator is a nonzerodivisor in the output ring;
+    (e) every adjoined variable T = a/d is its fraction: d*T - a lies in
+        its component's defining ideal.
 
     Each component is contracted once, to its image I_j in the input
     ring.  Globally, (b) requires each product of one generator per image
@@ -406,14 +401,16 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
     so their images differ: equal images mean a component was doubled,
     as a split of a non-radical input can do.  (d) is
     stronger than a check at the denominator's own level, whose ring
-    embeds in the output ring.
+    embeds in the output ring.  (c), (d) and (e) together put each output
+    ring between the input ring and its integral closure.  (e) runs after
+    (d), so a zero denominator is reported as one.
 
-    Messages and notes name each component by its position in
+    Returns nothing; the first failed check raises ``VerificationFailed``.
+    Messages name each component by its position in
     ``result.components``, the number the text output and the JSON list
     give it.
     """
     _require(bool(result.components), "no output component, but the input ring is nonzero")
-    report = VerificationReport()
     products = [R0.ring.one]
     images = []     # the images of the components checked so far
 
@@ -425,7 +422,6 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         kind, _ = _step(pres)
         _require(kind != "split", f"component {k}: output ring still splits")
         _require(kind != "extend", f"component {k}: endomorphism ring is strictly larger")
-        report.note(f"component {k}: fixed-point recheck ok")
 
         # (b) per-component direction: the input ideal maps into the image
         image = contract(pres.defining, R0.ring)
@@ -437,7 +433,6 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
                      f"components {i} and {k} have the same image in the input ring")
         images.append(image)
         products = R0.ctx.reduce_all(p * g for p in products for g in image.generators)
-        report.note(f"component {k}: contains the input relations")
 
         # (c) integrality witnesses
         for adj in pres.adjoined:
@@ -448,7 +443,6 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
                      f"{adj.name}: integrality witness is not a monic quadratic")
             _require(ctx.is_zero(q),
                      f"{adj.name}: integrality witness left the defining ideal")
-        report.note(f"component {k}: integrality witnesses ok")
 
         # (d) denominator certificates, one per distinct denominator
         denominators = {}
@@ -457,11 +451,15 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> Verifi
         for d, name in denominators.items():
             _require(ideals_equal(annihilator(d, ctx), ctx.defining),
                      f"{name}: tower denominator is a zerodivisor in the output ring")
-        report.note(f"component {k}: denominator certificates ok")
+
+        # (e) birationality witnesses
+        for adj in pres.adjoined:
+            witness = (adj.denominator.map_to(pres.ring) * pres.ring.var(adj.name)
+                       - adj.numerator.map_to(pres.ring))
+            _require(ctx.is_zero(witness),
+                     f"{adj.name}: is not its numerator over its denominator")
 
     # (b) global direction: the product of the images lies in sqrt(D0)
     for p in products:
         _require(radical_membership(p, R0.defining),
                  "intersection of component images exceeds the input radical")
-    report.note("global: eliminated images intersect to the input ideal")
-    return report

@@ -158,22 +158,6 @@ class Block(MonomialOrder):
 LEX = Lex()
 DEGREVLEX = DegRevLex()
 
-LT, EQ, GT = -1, 0, 1  # compare_monomials return values (m1 vs m2)
-
-
-def compare_monomials(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    """Return -1, 0, or 1 as m1 <, =, > m2 under ``order``."""
-    if len(m1) != len(m2):
-        raise LengthMismatch(f"exponent vectors of lengths {len(m1)} and {len(m2)}")
-    if isinstance(order, Block):
-        order.check_partition(len(m1))
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
 
 def elimination_order(nvars: int, drop_indices) -> Block:
     """Block order that puts the dropped variables in a lex block first."""
@@ -578,21 +562,10 @@ class Polynomial:
         return f"<{self} in {self.ring!r}>"
 
 
-def poly_op(kind: str, p: Polynomial, q: Polynomial) -> Polynomial:
-    """Dispatch add/sub/mul; thin wrapper over the operators."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown op {kind!r}")
-
-
-def divide_with_remainder(p: Polynomial, divisors, order: MonomialOrder | None = None):
+def divide_with_remainder(p: Polynomial, divisors):
     """Multivariate division: p = sum(q_i d_i) + r with no remainder term
-    divisible by any divisor's leading term.  Divisors are tried in list
-    order, which makes the result deterministic."""
+    divisible by any divisor's leading term, under the ring's order.
+    Divisors are tried in list order, which makes the result deterministic."""
     divisors = list(divisors)
     ring = p.ring
     for d in divisors:
@@ -600,11 +573,6 @@ def divide_with_remainder(p: Polynomial, divisors, order: MonomialOrder | None =
             raise RingMismatch("divisor from a different ring")
         if not d.raw:
             raise ZeroDivisorPolynomial("zero polynomial in divisor list")
-    if order is not None and order != ring.order:
-        work_ring = ring.with_order(order)
-        qs, r = divide_with_remainder(p.map_to(work_ring),
-                                      [d.map_to(work_ring) for d in divisors])
-        return [q.map_to(ring) for q in qs], r.map_to(ring)
     quotients = [[] for _ in divisors]
     r = remainder(p, divisors, [d.raw[0][0] for d in divisors], quotients=quotients)
     zero = ring.zero  # shared by the divisors that were never used

@@ -17,7 +17,6 @@ from closurekit import (
     endomorphism_ring,
     ideal_member,
     ideals_equal,
-    is_fixed_point,
     normal_form,
     normalize,
     parse_polynomial,
@@ -97,7 +96,7 @@ def test_criterion_2_node():
                 decision = pick_nzd_or_split(cp, test)
                 assert not decision.is_split
                 endo = endomorphism_ring(cp, test, decision.f)
-            assert is_fixed_point(endo)
+            assert endo.t == 0
             # defining ideal eliminates to one linear relation in x, y
             elim = eliminate(cp.defining, {a.name for a in cp.adjoined})
             basis = elim.groebner_basis()

@@ -1,6 +1,6 @@
 """The candidate scan's two shortcuts against the full scan.
 
-``pick_nzd_or_split`` asks ``dimension_below(D, [f], dim D)`` alone, and
+``pick_nzd_or_split`` asks ``sum_at_least(D, [f], dim D)`` alone, and
 both shortcuts live there.  LT(D) + (LM f) lies in LT(D + (f)), so the
 dimension of that monomial ideal bounds dim(D + (f)) from above, and a
 candidate whose bound is below dim(D) is passed over without a run.  Any
@@ -11,8 +11,8 @@ every candidate it reaches, and calls the candidate a nonzerodivisor
 when its annihilator D : f equals D.  Every call ``normalize`` makes on
 every fixture (both orders) and on seeded benchmark inputs of all three
 workloads is replayed through it and must give the same
-``SplitDecision``: the same element, and an annihilator with the same
-generators.
+``SplitDecision``: the same element, and an annihilator and a sum
+D + (f) with the same generators.
 """
 import importlib
 import sys
@@ -22,7 +22,7 @@ import pytest
 
 from closurekit import DEGREVLEX, LEX, normalize, parse_input, presentation
 from closurekit.errors import ParseError
-from closurekit.groebner import dimension, ideals_equal, leading_dimension
+from closurekit.groebner import _independent, dimension, ideals_equal
 from closurekit.idealops import annihilator
 from closurekit.normalize import SplitDecision, _candidates
 
@@ -40,12 +40,15 @@ def _reference_pick(R, I):
     base_dim = dimension(D)
     first_nzd = None
     for f in candidates:
-        if dimension(D.canonical([f])) == base_dim:
-            return SplitDecision(f, annihilator(f, R.ctx))
+        total = D.canonical([f])
+        if dimension(total) == base_dim:
+            return SplitDecision(f, annihilator(f, R.ctx), total)
         if first_nzd is None:
             first_nzd = f
     ann = annihilator(first_nzd, R.ctx)
-    return SplitDecision(first_nzd, None if ideals_equal(ann, D) else ann)
+    if ideals_equal(ann, D):
+        return SplitDecision(first_nzd)
+    return SplitDecision(first_nzd, ann, D.canonical([first_nzd]))
 
 
 def _skips(R, I):
@@ -55,7 +58,7 @@ def _skips(R, I):
     leads = [g.LM for g in D.groebner_basis()]
     skipped = 0
     for f in _candidates(R, I)[1]:
-        if leading_dimension(leads + [f.LM], R.ring.nvars) < base_dim:
+        if next(_independent(leads + [f.LM], R.ring.nvars, base_dim), None) is None:
             skipped += 1
         elif dimension(D.canonical([f])) == base_dim:
             break
@@ -82,6 +85,7 @@ def _replay(monkeypatch, texts, order=DEGREVLEX):
         if ref.is_split:
             assert (decision.annihilator_ideal.generators
                     == ref.annihilator_ideal.generators)
+            assert decision.sum_ideal.generators == ref.sum_ideal.generators
         seen.append((decision.is_split, _skips(R, I)))
         return decision
 

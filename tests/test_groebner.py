@@ -23,7 +23,7 @@ from closurekit import (
     syzygies,
 )
 from closurekit.errors import NotAMember, RingMismatch, UnknownVariable
-from closurekit.groebner import contract, dimension_below, lift_all
+from closurekit.groebner import contract, lift_all, sum_at_least
 from conftest import P
 from oracles import (
     all_in_module_span,
@@ -316,9 +316,10 @@ def test_dimension_antitone(ring_xyz):
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_dimension_below_matches_the_full_sum(monkeypatch, field, order):
-    # dimension_below(I, extra, d) against the dimension of the full sum,
-    # for every d from -1 to nvars + 1: d = 0 asks for the unit ideal, and
-    # d above dim(I) holds before any pair is formed
+    # sum_at_least(I, extra, d) against the full sum, for every d from -1
+    # to nvars + 1: d = 0 asks for the unit ideal, and d above dim(I) is
+    # answered before any pair is formed; a sum it returns is the full
+    # sum, generated by and holding its reduced basis
     groebner = importlib.import_module("closurekit.groebner")
     real, stops = groebner._buchberger, []
 
@@ -344,9 +345,14 @@ def test_dimension_below_matches_the_full_sum(monkeypatch, field, order):
     for gens in ideals:
         I = Ideal(R, gens)
         for extra in extras:
-            full = dimension(I.canonical(extra))
+            full_sum = I.canonical(extra)
+            full = dimension(full_sum)
             for d in range(-1, R.nvars + 2):
-                assert dimension_below(I, extra, d) == (full < d), (gens, extra, d)
+                total = sum_at_least(I, extra, d)
+                assert (total is None) == (full < d), (gens, extra, d)
+                if total is not None:
+                    assert total.generators == full_sum.generators
+                    assert total._bases[order.name] == total.generators
             seen |= {("unit", full == -1), ("point", full == 0),
                      ("dropped", full < dimension(I))}
     assert {("unit", True), ("point", True), ("dropped", True)} <= seen

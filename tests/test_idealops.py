@@ -229,6 +229,17 @@ def test_colon_ideal_edge_cases(field, order):
     assert ideal_quotient(Ideal(R, []), Ideal(R, [x + y]), zero).is_zero()
 
 
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX], ids=["lex", "degrevlex"])
+def test_colon_ideal_fixed_case(order):
+    # under lex over QQ this quotient's reduced basis, with coefficients
+    # like 275/34992, once took 23 s to build from the syzygy entries
+    R = PolyRing(QQ, ["x", "y", "z"], order)
+    ctx = ctx_for(R, [P(R, "3*x*y^2 + 3*x*y*z^2 + 3*x*y*z + 9*y + 9*z^2 + 9*z"),
+                      P(R, "3*x^2*y^2 + 9*x*y")])
+    I = Ideal(R, [P(R, "-3*x*y + 2*y*z + z"), P(R, "2*x^2 + x*y - y^2")])
+    _check_against_reference(ctx, I, P(R, "-3*y - 3*z^2 - 3*z"))
+
+
 def test_saturation_strips_powers(ring_xy):
     I = Ideal(ring_xy, [P(ring_xy, "x^2*y")])
     out = saturation(I, ring_xy.var("x"))

@@ -13,7 +13,6 @@ from closurekit import (
     extend_ring,
     ideal_member,
     ideals_equal,
-    is_fixed_point,
     normalize,
     parse_input,
     pick_nzd_or_split,
@@ -129,24 +128,21 @@ def test_endomorphism_smooth_point():
     pres = presentation(R, [])
     endo = endomorphism_ring(pres, Ideal(R, [R.var("x")]), R.var("x"))
     assert endo.t == 0
-    assert is_fixed_point(endo)
 
 
 def test_fixed_point_predicate(ring_xy):
     x, y = ring_xy.gens()
     cusp_endo = endomorphism_ring(cusp(ring_xy), Ideal(ring_xy, [x, y]), x)
-    assert not is_fixed_point(cusp_endo)
+    assert cusp_endo.t > 0
     R = PolyRing(QQ, ["x"])
     smooth = endomorphism_ring(presentation(R, []), Ideal(R, [R.var("x")]),
                                R.var("x"))
-    assert is_fixed_point(smooth)
     assert smooth.t == 0
 
 
 def test_verify_result_vacuous_on_smooth_input(ring_xy):
     pres = presentation(ring_xy, [P(ring_xy, "x^2 + y^2 - 1")])
-    report = verify_result(pres, normalize(pres))
-    assert any("denominator certificates ok" in c for c in report.checks)
+    assert verify_result(pres, normalize(pres)) is None
 
 
 def test_endomorphism_rejects_zerodivisor(ring_xy):
@@ -256,8 +252,7 @@ def test_normalize_iteration_limit(ring_xy):
 
 def test_verify_result_passes(ring_xy):
     pres = cusp(ring_xy)
-    report = verify_result(pres, normalize(pres))
-    assert any("fixed-point recheck ok" in c for c in report.checks)
+    assert verify_result(pres, normalize(pres)) is None
 
 
 def test_verify_rejects_tampered_result(ring_xy):
@@ -298,6 +293,32 @@ def test_verify_rejects_zerodivisor_denominator(ring_xy, entry):
         verify_result(pres, res)
 
 
+@pytest.mark.parametrize("name", ["cusp", "umbrella", "a4", "t345"])
+def test_verify_rejects_a_wrong_fraction(monkeypatch, name):
+    # a mutant extend_ring records numerator + denominator for its newest
+    # variable and keeps the right relations, so checks (a)-(d) pass it;
+    # check (e) reads d*T - a and names the first wrong variable
+    from dataclasses import replace
+
+    real, mutated = normalize_module.extend_ring, []
+
+    def extend_ring(R, endo):
+        out = real(R, endo)
+        *kept, newest = out.adjoined
+        mutated.append(newest.name)
+        wrong = replace(newest, numerator=newest.numerator + newest.denominator)
+        return replace(out, adjoined=(*kept, wrong))
+
+    doc = parse_input((FIXTURES / f"{name}.txt").read_text())
+    pres = presentation(doc.ring, doc.generators)
+    monkeypatch.setattr(normalize_module, "extend_ring", extend_ring)
+    res = normalize(pres)
+    assert mutated and len(res.components) == 1
+    with pytest.raises(VerificationFailed,
+                       match=f"{mutated[0]}: is not its numerator over its denominator"):
+        verify_result(pres, res)
+
+
 def _split_cross(ring):
     """The coordinate cross x*y = 0 and its two line components."""
     pres = presentation(ring, [P(ring, "x*y")])
@@ -331,8 +352,8 @@ def test_verify_rejects_a_dropped_component(ring_xy, split):
 
 @pytest.mark.parametrize("split", [_split_cross, _split_axes], ids=["cross", "axes"])
 def test_split_builds_only_the_first_child(ring_xy, monkeypatch, split):
-    # the second child is the decision's D : f, which holds its basis, so
-    # a split runs the engine once, for D + (f)
+    # both children are ideals the decision holds with their bases: D + (f)
+    # from the candidate scan's run, and D : f, so a split runs no basis
     groebner = importlib.import_module("closurekit.groebner")
     normalize_module = importlib.import_module("closurekit.normalize")
     real_run, real_split = groebner._buchberger, normalize_module._split_component
@@ -354,7 +375,7 @@ def test_split_builds_only_the_first_child(ring_xy, monkeypatch, split):
     monkeypatch.setattr(groebner, "_buchberger", run)
     monkeypatch.setattr(normalize_module, "_split_component", split_component)
     split(ring_xy)
-    assert runs and runs == [1] * len(runs)
+    assert runs and runs == [0] * len(runs)
 
 
 def test_verify_rejects_an_empty_result(ring_xy):
@@ -543,8 +564,7 @@ def test_verify_normal_cone_accepted(ring_xyz):
     pres = presentation(ring_xyz, [P(ring_xyz, "x*y - z^2")])
     res = normalize(pres)
     assert res.trace[-1] == "FixedPoint component=0 reason=hom-equal"
-    report = verify_result(pres, res)
-    assert "component 0: fixed-point recheck ok" in report.checks
+    assert verify_result(pres, res) is None
 
 
 def _count_endomorphism_calls(monkeypatch):
