@@ -1,15 +1,15 @@
 """Buchberger's algorithm, reduced bases, normal forms, syzygies, lifts,
 elimination and contraction, and Krull dimension of leading-term ideals.
-Only this module fills an ideal's memo without a fresh run:
-``Ideal.canonical``, ``eliminate`` and ``contract`` hold the certified
-reduced basis they have, and ``I.plus(extra)`` and ``I.canonical(extra)``
-grow the basis of I + (extra) from I's.  ``plus`` keeps I's generators
-followed by the extras, as the Jacobian test ideal needs; ``canonical``
-is generated by the basis.  ``sum_at_least`` first reads the leading
-monomials of a sum's summands, then grows the sum the same way but stops
-as soon as its leading monomials show the dimension below a bound, so a
-sum whose dimension drops is never finished, and one whose dimension
-stays comes back as ``canonical`` builds it.
+Only this module fills an ideal's basis memo without a fresh run, and
+only through ``_holding``.  ``I.canonical(extra)`` is the one builder of a
+sum grown from a held basis: its run starts at I's reduced basis, and the
+result is generated by and holds the basis of I + (extra).  With
+``below=d`` it first reads the leading monomials of the summands, then
+stops the run as soon as the sum's leading monomials show its dimension
+below d, answering None, so a sum whose dimension drops is never
+finished.  ``plus`` holds the same basis but keeps I's generators followed
+by the extras, as the Jacobian test ideal needs.  ``eliminate`` and
+``contract`` hold the kept basis when it is the ring's degrevlex one.
 ``normal_form`` divides by the held basis with a first-divisor memo kept
 beside the bases (``Ideal._held``).
 
@@ -78,23 +78,33 @@ class Ideal:
 
     def plus(self, extra) -> "Ideal":
         """This ideal plus (extra), generated by this ideal's generators
-        followed by the nonzero extras, and holding its reduced basis in the
-        ring's order, grown from this ideal's.  With no extras the bases for
-        other orders are kept too."""
-        basis, extra = self.groebner_basis(), Ideal(self.ring, extra).generators
-        if extra:
-            basis = tuple(_buchberger(extra, self.ring, held=basis))
-        out = Ideal(self.ring, self.generators + extra)
-        out._bases.update({self.ring.order.name: basis} if extra else self._bases)
-        return out
+        followed by the nonzero extras, as the Jacobian test ideal needs,
+        and holding the basis ``canonical`` grows."""
+        extra = Ideal(self.ring, extra).generators
+        return _holding(self.ring, self.canonical(extra).generators,
+                        self.generators + extra)
 
-    def canonical(self, extra=()) -> "Ideal":
-        """This ideal plus (extra) as ``plus`` builds it, but generated by
-        the reduced basis it holds; with no extras, this ideal."""
-        total = self.plus(extra)
-        out = Ideal(self.ring, total._bases[self.ring.order.name])
-        out._bases = total._bases
-        return out
+    def canonical(self, extra=(), below=None) -> "Ideal | None":
+        """This ideal plus (extra), generated by and holding its reduced
+        basis in the ring's order, grown from this ideal's held basis (with
+        no nonzero extras, that basis itself).  The one builder of such sums.
+
+        With ``below`` d >= 0 the answer is None when the sum's dimension is
+        below d.  LT(I) + (LM of the extras) lies in the sum's leading-term
+        ideal, so when it leaves no independent set of size d there is no
+        run; otherwise the run stops at the first sign of the drop
+        (``_buchberger``'s ``below``), so a sum whose dimension drops is
+        never finished."""
+        ring, basis = self.ring, self.groebner_basis()
+        extra = Ideal(ring, extra).generators
+        if below is not None and next(_independent(
+                [p.LM for p in chain(basis, extra)], ring.nvars, below), None) is None:
+            return None
+        if extra:
+            basis = _buchberger(extra, ring, held=basis, below=below)
+            if basis is None:
+                return None
+        return _holding(ring, basis)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -105,6 +115,15 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
+
+
+def _holding(ring: PolyRing, basis, generators=None) -> Ideal:
+    """An ideal on ``generators`` (by default ``basis``) holding ``basis`` as
+    its reduced basis in the ring's order: besides ``groebner_basis``, the
+    one writer of the basis memo."""
+    out = Ideal(ring, basis if generators is None else generators)
+    out._bases[ring.order.name] = tuple(basis)
+    return out
 
 
 def _set_aside(r, syzygies, slots) -> bool:
@@ -378,12 +397,8 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
         return ideal
     drop_ix = {ring.index(name) for name in drop}
     order = elimination_order(ring.nvars, drop_ix)
-    basis = ideal.groebner_basis(order)
-    out = Ideal(ring, [g for g in basis if not (g.variables_used() & drop_ix)])
-    out._bases[order.name] = out.generators
-    if ring.order == DEGREVLEX:
-        out._bases[DEGREVLEX.name] = out.generators
-    return out
+    kept = [g for g in ideal.groebner_basis(order) if not (g.variables_used() & drop_ix)]
+    return _holding(ring, kept) if ring.order == DEGREVLEX else Ideal(ring, kept)
 
 
 def contract(ideal: Ideal, ring: PolyRing) -> Ideal:
@@ -396,10 +411,10 @@ def contract(ideal: Ideal, ring: PolyRing) -> Ideal:
     elim = eliminate(ideal, set(source.variables) - set(kept))
     if ring == source:
         return elim.canonical()
-    out = Ideal(ring, [g.map_to(ring) for g in elim.generators])
+    kept = [g.map_to(ring) for g in elim.generators]
     if ring.nvars < source.nvars and ring.order == DEGREVLEX:
-        out._bases[DEGREVLEX.name] = out.generators
-    return out
+        return _holding(ring, kept)
+    return Ideal(ring, kept)
 
 
 def dimension(ideal: Ideal) -> int:
@@ -423,28 +438,6 @@ def independent_set(ideal: Ideal):
         if u is not None:
             return u
     return None
-
-
-def sum_at_least(ideal: Ideal, extra, d: int):
-    """ideal + (extra) as ``canonical`` builds it when its dimension is at
-    least d, else None; for d < 0 the sum.  LT(ideal) + (LM of the extras)
-    lies in the sum's leading-term ideal, so when it leaves no independent
-    set of size d the answer is None with no run.  Otherwise the run of the
-    sum grown from the held basis stops at the first sign of the drop
-    (``_buchberger``'s ``below``), so a sum whose dimension drops is never
-    finished."""
-    if d < 0:
-        return ideal.canonical(extra)
-    ring, basis = ideal.ring, ideal.groebner_basis()
-    extra = Ideal(ring, extra).generators
-    if next(_independent([p.LM for p in chain(basis, extra)], ring.nvars, d), None) is None:
-        return None
-    grown = _buchberger(extra, ring, held=basis, below=d)
-    if grown is None:
-        return None
-    out = Ideal(ring, grown)
-    out._bases[ring.order.name] = out.generators
-    return out
 
 
 def _independent(leads, nvars: int, size: int):

@@ -97,13 +97,16 @@ class EndoPresentation:
 @dataclass(frozen=True)
 class SplitDecision:
     """Either a nonzerodivisor (both ideals None) or a zerodivisor together
-    with the defining ideals of the split's two children: D : f, its
-    annihilator's preimage, which is larger than D, and D + (f), each
-    generated by and holding its reduced basis."""
+    with the defining ideals of the split's two children, each generated
+    by and holding its reduced basis: D : f, its annihilator's preimage,
+    which is larger than D, and its complement D : (D : f).  For a radical
+    D these are the intersections of the minimal primes that do not
+    contain f and of those that do, so both children are reduced and
+    together they keep every component of D exactly once."""
 
     f: Polynomial
     annihilator_ideal: "Ideal | None" = None
-    sum_ideal: "Ideal | None" = None
+    complement_ideal: "Ideal | None" = None
 
     @property
     def is_split(self) -> bool:
@@ -163,12 +166,11 @@ def _candidates(R: AffinePresentation, I: Ideal):
     return gens, out
 
 
-def _split_decision(R: AffinePresentation, f: Polynomial, ann: Ideal,
-                    total: Ideal) -> SplitDecision:
+def _split_decision(R: AffinePresentation, f: Polynomial, ann: Ideal) -> SplitDecision:
     for a in ann.generators:
         if not R.ctx.is_zero(f * a):
             raise AssertionError("annihilator product escaped D")
-    return SplitDecision(f, ann, total)
+    return SplitDecision(f, ann, ideal_quotient(Ideal(R.ring, []), ann, R.ctx))
 
 
 def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
@@ -179,14 +181,13 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     Zerodivisors are detected by dimension: over a reduced defining
     ideal, adjoining a nonzerodivisor strictly drops the dimension of
     every component, while equal dimension forces the candidate into a
-    minimal prime.  ``sum_at_least`` decides whether dim(D + (f))
-    drops, from leading terms alone when it can and otherwise from a run
-    that stops at the first sign of the drop, so only a candidate whose
-    dimension stays gets the full basis of D + (f), and that sum is the
-    split's first child.  The annihilator D : f is only computed for the
-    element actually returned; f is a nonzerodivisor exactly when it
-    equals D."""
-    from .groebner import dimension, sum_at_least
+    minimal prime.  ``D.canonical([f], below=dim D)`` decides whether
+    dim(D + (f)) drops, from leading terms alone when it can and otherwise
+    from a run that stops at the first sign of the drop.  The annihilator
+    D : f is only computed for the element actually returned; f is a
+    nonzerodivisor exactly when it equals D.  A split costs one more colon
+    read, the complement D : (D : f)."""
+    from .groebner import dimension
 
     gens, candidates = _candidates(R, I)
     if not gens:
@@ -195,12 +196,11 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     base_dim = dimension(D)
     first_nzd = None
     for f in candidates:
-        total = sum_at_least(D, [f], base_dim)
-        if total is not None:
+        if D.canonical([f], below=base_dim) is not None:
             ann = annihilator(f, R.ctx)
             if ideals_equal(ann, D):
                 raise AssertionError("dimension flagged a nonzerodivisor")
-            return _split_decision(R, f, ann, total)
+            return _split_decision(R, f, ann)
         if first_nzd is None:
             first_nzd = f
     ann = annihilator(first_nzd, R.ctx)
@@ -208,7 +208,7 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
         return SplitDecision(first_nzd)
     # the dimension filter can miss zerodivisors supported on small
     # components of a non-equidimensional ring; split on them anyway
-    return _split_decision(R, first_nzd, ann, D.canonical([first_nzd]))
+    return _split_decision(R, first_nzd, ann)
 
 
 def endomorphism_ring(R: AffinePresentation, I: Ideal,
@@ -306,10 +306,10 @@ def extend_ring(R: AffinePresentation, endo: EndoPresentation) -> AffinePresenta
 
 
 def _split_component(comp: Component, decision: SplitDecision, next_index):
-    """Children D + (f) and D : f, the two ideals the decision carries."""
+    """Children D : (D : f) and D : f, the two ideals the decision carries."""
     pres = comp.presentation
     children = []
-    for ideal in (decision.sum_ideal, decision.annihilator_ideal):
+    for ideal in (decision.complement_ideal, decision.annihilator_ideal):
         if ideal.contains_one():
             raise AssertionError("split factor collapsed to the unit ideal")
         child = AffinePresentation(

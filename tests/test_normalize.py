@@ -1,4 +1,6 @@
 import importlib
+import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from closurekit.normalize import (
     _step,
 )
 from closurekit.groebner import contract
-from closurekit.idealops import QuotientRingContext
+from closurekit.idealops import QuotientRingContext, radical
 from conftest import P
 from oracles import all_in_module_span, brute_force_syzygies, substitute
 
@@ -352,8 +354,8 @@ def test_verify_rejects_a_dropped_component(ring_xy, split):
 
 @pytest.mark.parametrize("split", [_split_cross, _split_axes], ids=["cross", "axes"])
 def test_split_builds_only_the_first_child(ring_xy, monkeypatch, split):
-    # both children are ideals the decision holds with their bases: D + (f)
-    # from the candidate scan's run, and D : f, so a split runs no basis
+    # both children are colon ideals the decision reads with their bases,
+    # D : (D : f) and D : f, so building the split runs no basis
     groebner = importlib.import_module("closurekit.groebner")
     normalize_module = importlib.import_module("closurekit.normalize")
     real_run, real_split = groebner._buchberger, normalize_module._split_component
@@ -420,10 +422,6 @@ def test_normalize_idempotent_on_output(ring_xy):
             == comp.presentation.defining.groebner_basis())
 
 
-# two known wrong normalizations that still pass verify_result; the fix
-# must flip these to plain tests
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ROADMAP item 1")
 def test_three_concurrent_lines_give_three_components():
     ring = PolyRing(QQ, ["x", "y", "z"])
     pres = presentation(ring, [P(ring, g) for g in (
@@ -433,12 +431,95 @@ def test_three_concurrent_lines_give_three_components():
     assert len(normalize(pres).components) == 3
 
 
+def _triangle():
+    ring = PolyRing(QQ, ["x", "y"])
+    return presentation(ring, [P(ring, "x^2*y - x*y^2 - x*y")])
+
+
+def test_triangle_gives_its_three_lines():
+    # x*y*(x - y - 1) splits on x^2 - x; a child D + (f) would keep the
+    # line x = 0 together with a fat point at (1, 0)
+    pres = _triangle()
+    ring = pres.ring
+    result = normalize(pres)
+    verify_result(pres, result)
+    assert [c.presentation.defining.generators for c in result.components] == [
+        (P(ring, "x"),), (P(ring, "y"),), (P(ring, "x - y - 1"),)]
+
+
+def _line_arrangements(count, seed):
+    """``count`` seeded plane arrangements of 3 to 5 distinct lines
+    a*x + b*y + c, a, b, c in [-2, 2], each divided by its gcd and with the
+    first nonzero of a, b positive."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        want, lines = rng.randint(3, 5), []
+        while len(lines) < want:
+            a, b, c = (rng.randint(-2, 2) for _ in range(3))
+            if a == b == 0:
+                continue
+            g = gcd(gcd(a, b), c)
+            sign = 1 if a > 0 or (a == 0 and b > 0) else -1
+            line = (sign * a // g, sign * b // g, sign * c // g)
+            if line not in lines:
+                lines.append(line)
+        yield lines
+
+
+def test_line_arrangements_give_reduced_components():
+    # every component of a reduced ring's normalization is reduced; a split
+    # child D + (f) is not wherever another line meets V(f).  A component
+    # with adjoined variables is reduced when its image in the input ring
+    # is, since verify_result certifies every denominator a nonzerodivisor
+    # there and every adjoined T its fraction: the ring then embeds in a
+    # localization of the image's ring.  Its own radical is far slower.
+    ring = PolyRing(QQ, ["x", "y"])
+    x, y = ring.gens()
+    for lines in _line_arrangements(60, 5):
+        product = ring.one
+        for a, b, c in lines:
+            product = product * (x * a + y * b + ring.one * c)
+        pres = presentation(ring, [product])
+        result = normalize(pres)
+        verify_result(pres, result)
+        for comp in result.components:
+            image = contract(comp.presentation.defining, ring)
+            assert ideals_equal(radical(image), image), lines
+
+
+# wrong normalizations that still pass verify_result; the fix must flip
+# these to plain tests
 @pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ROADMAP item 1")
+                   reason="ROADMAP item 1b")
 def test_plane_and_cusp_take_a_hom_step():
     ring = PolyRing(QQ, ["x", "y", "z"])
     pres = presentation(ring, [P(ring, "z^2 - z"), P(ring, "z*y^2 - z*x^3")])
     assert normalize(pres).hom_steps() >= 1
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 1b")
+@pytest.mark.parametrize("names,gens", [
+    (["x", "y"], ["x^2 - x", "x*y - y"]),               # a line and a point
+    (["x", "y", "z"], ["x*z - x", "y*z - y", "z^2 - z"]),  # a plane and a point
+], ids=["line-point", "plane-point"])
+def test_components_of_two_dimensions_split(names, gens):
+    ring = PolyRing(QQ, names)
+    pres = presentation(ring, [P(ring, g) for g in gens])
+    assert len(normalize(pres).components) == 2
+
+
+@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True,
+                   reason="ROADMAP item 1c")
+def test_verify_rejects_a_non_reduced_component():
+    # the triangle's components as a split child D + (f) made them: the
+    # first is the line x = 0 with a fat point at (1, 0)
+    pres = _triangle()
+    ring = pres.ring
+    components = [Component(presentation(ring, [P(ring, g) for g in gens]), 0, k)
+                  for k, gens in enumerate((["x^2 - x", "x*y^2"], ["y"], ["x - y - 1"]))]
+    with pytest.raises(VerificationFailed):
+        verify_result(pres, NormalizationResult(components))
 
 
 def _hom_presentations(pres):
