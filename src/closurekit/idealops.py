@@ -400,6 +400,26 @@ def _expand_last_row(ring: PolyRing, row, parent: dict, cols: tuple) -> Polynomi
     return ring.from_raw(d)
 
 
+def _pivot_units(jac, c: int, ctx: QuotientRingContext):
+    """Eliminate constant entries while c > 0: a unit u = m_rj leaves its
+    row and column, each remaining m_ik becomes nf(m_ik - m_ij*m_rk/u),
+    and c drops by one, since I_c(M) = I_(c-1)(M') when u is a unit.
+    Returns the smaller matrix and c."""
+    char = ctx.ring.field.characteristic
+    while c > 0:
+        at = next(((r, j) for r, row in enumerate(jac)
+                   for j, e in enumerate(row) if e and e.is_constant()), None)
+        if at is None:
+            break
+        r, j = at
+        pivot, inv = jac[r], _inverse(jac[r][j].LC, char)
+        jac = [[ctx.nf(e - row[j] * inv * pivot[k]) if row[j] and pivot[k] else e
+                for k, e in enumerate(row) if k != j]
+               for i, row in enumerate(jac) if i != r]
+        c -= 1
+    return jac, c
+
+
 def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     """D plus the c x c minors of the Jacobian of D's generators, where
     c = (number of variables) - dim(D).  Not radicalized here.  The sum is
@@ -410,6 +430,10 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     entries give congruent determinants, so the ideal is unchanged while
     the generator list stays small.
 
+    Constant entries are pivoted away first (``_pivot_units``): each one
+    lowers c by one and drops a row and a column, so the minors are those
+    of the smaller matrix, and c = 0 gives D + (1).
+
     Sub-minors are shared: row sets are walked depth first in lex order,
     and each row prefix of length k < c holds one table of its k x k
     minors for all column sets, expanded from its parent's table along
@@ -418,20 +442,21 @@ def jacobian_test_ideal(ctx: QuotientRingContext) -> Ideal:
     the exact determinant.  Only the c tables on the current path are
     alive at any time."""
     ring = ctx.ring
-    gens = list(ctx.defining.generators)
-    c = ring.nvars - dimension(ctx.defining)
+    jac = [[ctx.nf(g.derivative(j)) for j in range(ring.nvars)]
+           for g in ctx.defining.generators]
+    jac, c = _pivot_units(jac, ring.nvars - dimension(ctx.defining), ctx)
     if c <= 0:
         return ctx.defining.plus([ring.one])
-    jac = [[ctx.nf(g.derivative(j)) for j in range(ring.nvars)] for g in gens]
+    ncols = len(jac[0])
     minors = []
     seen = set()
 
     def walk(start: int, parent: dict, k: int) -> bool:
         """Extend the row prefix owning ``parent`` (of length k - 1) by
         each row from ``start`` on; True once a constant minor is found."""
-        for r in range(start, len(gens) - c + k):
+        for r in range(start, len(jac) - c + k):
             table = {}
-            for cols in combinations(range(ring.nvars), k):
+            for cols in combinations(range(ncols), k):
                 det = _expand_last_row(ring, jac[r], parent, cols)
                 if det and k > 1:
                     det = ctx.nf(det)

@@ -10,7 +10,9 @@ constants for pairwise products (monic quadratic relations).  No fresh
 numerator means the ring equals its endomorphism ring and is normal.
 
 ``_step`` runs these moves once on one ring; ``normalize`` repeats it per
-component, and ``verify_result`` reruns it on each output component.
+component.  ``verify_result`` certifies an output component that is a
+complete intersection by Serre's criterion (R1 from the Jacobian
+criterion, S2 from Cohen-Macaulayness) and reruns ``_step`` on any other.
 
 Termination is a finiteness fact about the integral closure as a module;
 the iteration cap only guards against misuse.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     EmptyIdeal,
@@ -28,7 +31,7 @@ from .errors import (
     NotNonZeroDivisor,
     VerificationFailed,
 )
-from .groebner import Ideal, contract, ideals_equal, lift_all, normal_form
+from .groebner import Ideal, contract, dimension, ideals_equal, lift_all, normal_form
 from .idealops import (
     QuotientRingContext,
     annihilator,
@@ -187,8 +190,6 @@ def pick_nzd_or_split(R: AffinePresentation, I: Ideal) -> SplitDecision:
     D : f is only computed for the element actually returned; f is a
     nonzerodivisor exactly when it equals D.  A split costs one more colon
     read, the complement D : (D : f)."""
-    from .groebner import dimension
-
     gens, candidates = _candidates(R, I)
     if not gens:
         raise EmptyIdeal("test ideal is zero in the quotient ring")
@@ -379,11 +380,46 @@ def _require(condition: bool, message: str):
         raise VerificationFailed(message)
 
 
+def _determinant(ring: PolyRing, rows) -> Polynomial:
+    """Laplace expansion along the first row; the empty matrix gives 1."""
+    if not rows:
+        return ring.one
+    total = ring.zero
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * _determinant(ring, [row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def _serre_certificate(D: Ideal) -> bool:
+    """True when ring/D is normal by Serre's criterion (R1 and S2).  D's
+    reduced basis has c = n - dim D elements, so D is a complete
+    intersection and ring/D is Cohen-Macaulay, hence S2 and
+    equidimensional; and D plus the c x c minors of that basis's Jacobian
+    has dimension at most dim D - 2 (is the unit ideal when dim D <= 1), so
+    by the Jacobian criterion the singular locus has codimension >= 2,
+    hence R1.  False only means that no certificate was found."""
+    ring, basis = D.ring, D.groebner_basis()
+    dim = dimension(D)
+    c = ring.nvars - dim
+    if len(basis) != c:
+        return False
+    jac = [[g.derivative(j) for j in range(ring.nvars)] for g in basis]
+    minors = [_determinant(ring, [[row[j] for j in cols] for row in jac])
+              for cols in combinations(range(ring.nvars), c)]
+    return D.canonical(minors, below=max(dim - 1, 0)) is None
+
+
 def verify_result(R0: AffinePresentation, result: NormalizationResult) -> None:
     """Independent certification of a normalization result.
 
-    (a) one fresh loop step finds every component normal: its test
-        ideal is the unit ideal, or J is proper and Hom(J, J) = R;
+    (a) every component is normal: a complete intersection by Serre's
+        certificate (``_serre_certificate``: c = n - dim D basis elements,
+        and the c x c Jacobian minors cut out a locus of codimension >= 2
+        over the perfect fields QQ and GF(p)); otherwise one fresh loop
+        step finds it normal: its test ideal is the unit ideal, or J is
+        proper and Hom(J, J) = R;
     (b) eliminating the adjoined variables recovers, across all
         components together, exactly the radical of the input ideal,
         and no two components have the same image;
@@ -418,10 +454,11 @@ def verify_result(R0: AffinePresentation, result: NormalizationResult) -> None:
         pres = comp.presentation
         ctx = pres.ctx
 
-        # (a) fresh fixed-point recheck
-        kind, _ = _step(pres)
-        _require(kind != "split", f"component {k}: output ring still splits")
-        _require(kind != "extend", f"component {k}: endomorphism ring is strictly larger")
+        # (a) Serre's certificate, else a fresh fixed-point recheck
+        if not _serre_certificate(pres.defining):
+            kind, _ = _step(pres)
+            _require(kind != "split", f"component {k}: output ring still splits")
+            _require(kind != "extend", f"component {k}: endomorphism ring is strictly larger")
 
         # (b) per-component direction: the input ideal maps into the image
         image = contract(pres.defining, R0.ring)

@@ -31,10 +31,11 @@ from oracles import substitute
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 # cusp-line and axes are split-mix inputs and, with triangle, the only
-# goldens with a Split; t345 and umbrella13 are prime-space inputs: the only
-# GF(32003) goldens
+# goldens with a Split; t345 and umbrella13 are prime-space inputs and, with
+# e6 (a normal complete intersection that leaves through hom-equal at level
+# 0), the only GF(32003) goldens
 GOLDEN_NAMES = ["cusp", "node", "umbrella", "a4", "conic", "zero", "cusp-line", "axes",
-                "t345", "umbrella13", "triangle"]
+                "t345", "umbrella13", "triangle", "e6"]
 
 
 @contextmanager

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from closurekit import (
+    GF,
     QQ,
     Ideal,
     PolyRing,
@@ -31,6 +32,7 @@ from closurekit.normalize import (
     AffinePresentation,
     Component,
     NormalizationResult,
+    _serre_certificate,
     _step,
 )
 from closurekit.groebner import contract
@@ -672,9 +674,70 @@ def test_verify_unit_test_ideal_needs_no_endomorphism_ring(ring_xy, monkeypatch)
     assert calls == []
 
 
-def test_verify_proper_test_ideal_runs_one_endomorphism_ring(ring_xyz, monkeypatch):
-    pres = presentation(ring_xyz, [P(ring_xyz, "x*y - z^2")])
+def test_verify_proper_test_ideal_runs_one_endomorphism_ring(monkeypatch):
+    # umbrella13's output is normal but no complete intersection (5
+    # variables, more relations than its codimension): no Serre certificate,
+    # so verify replays the loop step, which leaves through hom-equal
+    doc = parse_input((FIXTURES / "umbrella13.txt").read_text())
+    pres = presentation(doc.ring, list(doc.generators))
     res = normalize(pres)
+    assert res.trace[-1] == "FixedPoint component=0 reason=hom-equal"
+    (comp,) = res.components
+    assert not _serre_certificate(comp.presentation.defining)
     calls = _count_endomorphism_calls(monkeypatch)
     verify_result(pres, res)
     assert calls == [1]
+
+
+def _count_steps(monkeypatch):
+    normalize_module = importlib.import_module("closurekit.normalize")
+    calls = []
+    original = normalize_module._step
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(normalize_module, "_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field,names,gens", [
+    (QQ, ["x", "y"], []),                                   # c = 0
+    (QQ, ["x", "y"], ["x^2 - 1", "y"]),                     # dim 0: two points
+    (QQ, ["x", "y"], ["x^2 + y^2 - 1"]),                    # dim 1: needs (1)
+    (QQ, ["x", "y", "z"], ["x*y - z^2"]),                   # A1 cone, hom-equal
+    (GF(32003), ["x", "y", "z"], ["x^2 + y^2*z + z^3"]),    # D4, dim 2
+], ids=["plane", "two-points", "conic", "A1-cone", "D4-GF32003"])
+def test_verify_serre_certificate_accepts(field, names, gens, monkeypatch):
+    # a normal complete intersection: Serre's certificate replaces the
+    # replay of the loop step, so no test ideal, scan or Hom colon runs
+    ring = PolyRing(field, names)
+    pres = presentation(ring, [P(ring, g) for g in gens])
+    assert _serre_certificate(pres.defining)
+    res = normalize(pres)
+    steps = _count_steps(monkeypatch)
+    verify_result(pres, res)
+    assert steps == []
+
+
+@pytest.mark.parametrize("names,gens,message", [
+    # complete intersections singular along a curve, in codimension 1
+    (["x", "y", "z"], ["y^2 - x^3"], "endomorphism ring is strictly larger"),
+    (["x", "y", "z"], ["x^2 - y^2*z"], "endomorphism ring is strictly larger"),
+    # the coordinate axes: 3 relations in codimension 2
+    (["x", "y", "z"], ["x*y", "x*z", "y*z"], "output ring still splits"),
+    # two planes meeting in a point: R1 (singular only at the origin, in
+    # codimension 2) but not S2, so not normal; 4 relations in codimension 2
+    (["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"], "output ring still splits"),
+], ids=["cusp-cylinder", "umbrella", "axes", "two-planes"])
+def test_verify_without_serre_certificate_replays_the_step(names, gens, message, monkeypatch):
+    # the input handed to verify unnormalized: no certificate, so the one
+    # replayed loop step must catch it, with the message it always gave
+    ring = PolyRing(QQ, names)
+    pres = presentation(ring, [P(ring, g) for g in gens])
+    assert not _serre_certificate(pres.defining)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(VerificationFailed, match=f"component 0: {message}"):
+        verify_result(pres, _unnormalized(pres))
+    assert steps == [1]
