@@ -1,9 +1,11 @@
 """Command-line driver: parse, normalize, verify, and emit results.
 
 Exit codes: 0 success, 2 parse or usage error (such as --max-iter 0),
-3 algorithm error (iteration limit, radical strategy failure, unsupported
+3 algorithm error (iteration limit, radical failure, unsupported
 characteristic), 4 verification or --check failure.  Diagnostics go to
 stderr; with --json nothing but the result document ever reaches stdout.
+The document's ``options.radical`` is the constant "auto", kept for
+schema stability: there is one radical path.
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ def build_result_document(result: NormalizationResult, options: dict,
         "trace": list(result.trace) if include_trace else [],
         "options": {
             "order": options["order"],
-            "radical": options["radical"],
+            "radical": "auto",
             "max_iter": options["max_iter"],
         },
     }
@@ -94,8 +96,6 @@ def run_cli(argv) -> int:
     norm = sub.add_parser("normalize", help="normalize the ring in FILE")
     norm.add_argument("file")
     norm.add_argument("--order", choices=sorted(_ORDERS), default="degrevlex")
-    norm.add_argument("--radical", choices=["auto", "zerodim", "general"],
-                      default="auto")
     norm.add_argument("--max-iter", type=int, default=32)
     norm.add_argument("--json", action="store_true",
                       help="emit the result document as JSON on stdout")
@@ -129,16 +129,14 @@ def run_cli(argv) -> int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    options = {"order": args.order, "radical": args.radical,
-               "max_iter": args.max_iter}
+    options = {"order": args.order, "max_iter": args.max_iter}
 
     try:
         start = presentation(doc.ring, doc.generators)
         if args.check and not ideals_equal(radical(start.defining), start.defining):
             print("check failed: input ideal is not radical", file=sys.stderr)
             return EXIT_VERIFY
-        result = normalize(start, max_iterations=args.max_iter,
-                           radical_strategy=args.radical)
+        result = normalize(start, max_iterations=args.max_iter)
         if args.verify:
             verify_result(start, result)
     except (IterationLimitExceeded, StrategyFailed, UnsupportedCharacteristic) as exc:

@@ -46,7 +46,7 @@ class UnsupportedCharacteristic(ClosureKitError):
 
 
 class StrategyFailed(ClosureKitError):
-    """A radical strategy could not produce a certified answer."""
+    """The radical could not produce a certified answer."""
 
 
 class EmptyIdeal(ClosureKitError):

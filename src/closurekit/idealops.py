@@ -15,7 +15,7 @@ a zero normal form of f^e, e <= _WITNESS_CAP, against I's memoized
 basis proves f^e in I.  Only without one does Rabinowitsch decide, by
 whether the saturation I : f^oo is (1); that route can answer False.
 
-The radical follows a two-strategy plan.  Zero-dimensional ideals use
+The radical takes one path with two cases.  Zero-dimensional ideals use
 squarefree parts of univariate eliminants (one per variable); adjoining
 those parts makes the ideal radical.  Each eliminant is the minimal
 polynomial of x_i acting on R/I, found by linear algebra on the normal
@@ -26,7 +26,7 @@ maximal independent variable set: a block order whose dependent block
 dominates makes the Groebner basis valid there, and the contraction
 back is one saturation by the product of the collected leading
 coefficients.  The missed locus is recovered by recursing on the ideal
-plus that product.  One squarefree routine serves both strategies: a
+plus that product.  One squarefree routine serves both cases: a
 pseudo-remainder sequence of g and dg/dx_i, each remainder made
 primitive, which is denominator-free over k[u] and keeps coefficient
 growth in check over QQ.
@@ -351,27 +351,16 @@ def _radical_general(I: Ideal, char: int, depth: int) -> Ideal:
     return intersect(contracted, rest)
 
 
-def radical(I: Ideal, strategy: str = "auto") -> Ideal:
-    """Generators of sqrt(I); the output is certified (containment plus
-    radical membership of every generator, each by a witness exponent
-    or else Rabinowitsch) before being returned.  "auto" is "general",
-    which sends dimension zero on to "zerodim"; "zerodim" itself rejects
-    any other dimension up front."""
-    if strategy not in ("auto", "zerodim", "general"):
-        raise ValueError(f"unknown radical strategy {strategy!r}")
-    char = I.ring.field.characteristic
+def radical(I: Ideal) -> Ideal:
+    """Generators of sqrt(I), certified (containment plus radical
+    membership of every generator, each by a witness exponent or else
+    Rabinowitsch) before being returned, or StrategyFailed.
+    ``_radical_general`` sends dimension zero on to ``_radical_zerodim``."""
     if I.is_zero():
         return I
     if I.contains_one():
         return I.canonical()
-    if strategy == "zerodim":
-        dim = dimension(I)
-        if dim != 0:
-            raise StrategyFailed(
-                f"ideal is not zero-dimensional (dimension {dim})")
-        out = _radical_zerodim(I, char)
-    else:
-        out = _radical_general(I, char, 0)
+    out = _radical_general(I, I.ring.field.characteristic, 0)
     _certify_radical(I, out)
     return out
 

@@ -138,14 +138,13 @@ def _ideal_text(I: Ideal) -> str:
     return "(" + ", ".join(g.input_form() for g in I.groebner_basis()) + ")"
 
 
-def choose_test_ideal(R: AffinePresentation, radical_strategy: str = "auto",
-                      _events=None) -> Ideal:
+def choose_test_ideal(R: AffinePresentation, _events=None) -> Ideal:
     """Radical of the Jacobian test ideal; the unit ideal signals that the
     non-normal locus is empty."""
     jac = jacobian_test_ideal(R.ctx)
     if _events is not None:
         _events.append(("TestIdeal", jac))
-    rad = radical(jac, strategy=radical_strategy)
+    rad = radical(jac)
     if _events is not None:
         _events.append(("Radical", rad))
     return rad
@@ -319,11 +318,11 @@ def _split_component(comp: Component, decision: SplitDecision, next_index):
     return children
 
 
-def _step(R: AffinePresentation, radical_strategy: str = "auto", events=None):
+def _step(R: AffinePresentation, events=None):
     """One loop step on R, returned as (kind, payload): "unit-test-ideal"
     or "hom-equal" (R is normal, payload None), "split" (payload the
     SplitDecision) or "extend" (payload the EndoPresentation)."""
-    test = choose_test_ideal(R, radical_strategy, events)
+    test = choose_test_ideal(R, events)
     if test.contains_one():
         return "unit-test-ideal", None
     decision = pick_nzd_or_split(R, test)
@@ -337,7 +336,11 @@ def _step(R: AffinePresentation, radical_strategy: str = "auto", events=None):
 
 def normalize(R0: AffinePresentation, max_iterations: int = 32,
               radical_strategy: str = "auto") -> NormalizationResult:
-    """Run the full loop over a work-list of components."""
+    """Run the full loop over a work-list of components.  There is one
+    radical path: ``radical_strategy`` must be "auto", and the keyword goes
+    once the benchmark (perfbench/run.py) stops passing it."""
+    if radical_strategy != "auto":
+        raise ValueError(f"radical_strategy must be 'auto', got {radical_strategy!r}")
     trace: list = []
     counter = iter(range(1, 1 << 30))
     worklist = deque([Component(R0, 0, 0)])
@@ -347,7 +350,7 @@ def normalize(R0: AffinePresentation, max_iterations: int = 32,
         comp = worklist.popleft()
         for _ in range(max_iterations):
             events: list = []
-            kind, payload = _step(comp.presentation, radical_strategy, events)
+            kind, payload = _step(comp.presentation, events)
             for name, ideal in events:
                 trace.append(f"{name} component={comp.index} ideal={_ideal_text(ideal)}")
             if kind == "split":

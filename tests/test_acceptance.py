@@ -230,8 +230,7 @@ def test_trace_golden(name):
     assert out == (GOLDEN / f"{name}.trace.json").read_text()
 
 
-@pytest.mark.parametrize("flags", [("--order", "lex"), ("--radical", "general")],
-                         ids=["lex", "general"])
+@pytest.mark.parametrize("flags", [("--order", "lex")], ids=["lex"])
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_flag_golden(name, flags):
     # non-default flags keep their output too: relations, trace and options

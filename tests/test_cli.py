@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from closurekit import DEGREVLEX, emit_json, parse_input, run_cli
-from closurekit.errors import VerificationFailed
+from closurekit.errors import StrategyFailed, VerificationFailed
 
 CUSP = "ring QQ[x,y];\nideal (y^2 - x^3);\n"
 NODE = "ring QQ[x,y];\nideal (y^2 - x^2);\n"
@@ -154,14 +154,27 @@ def test_input_file_closed(cusp_file):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_zerodim_strategy_rejects_umbrella_up_front(capsys, json_flag):
-    # the umbrella's first radical is of its singular locus, the z-axis
-    path = Path(__file__).parent / "fixtures" / "umbrella.txt"
-    code, out, err = run(capsys, ["normalize", str(path), "--radical", "zerodim",
-                                  *json_flag])
+def test_radical_failure_exit_code(cusp_file, capsys, monkeypatch, json_flag):
+    # a radical without a certified answer is an algorithm error
+    cli = importlib.import_module("closurekit.cli")
+
+    def failing(I):
+        raise StrategyFailed("planted failure")
+
+    monkeypatch.setattr(cli, "radical", failing)
+    code, out, err = run(capsys, ["normalize", cusp_file, "--check", *json_flag])
     assert code == 3
     assert out == ""
-    assert err == "algorithm error: ideal is not zero-dimensional (dimension 1)\n"
+    assert err == "algorithm error: planted failure\n"
+
+
+@pytest.mark.parametrize("value", ["auto", "zerodim", "general"])
+def test_radical_flag_is_unknown(cusp_file, capsys, value):
+    # one radical path: the retired --radical is rejected like any unknown option
+    code, out, err = run(capsys, ["normalize", cusp_file, "--json", "--radical", value])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --radical" in err
 
 
 def test_check_rejects_non_radical(tmp_path, capsys):

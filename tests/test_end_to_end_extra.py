@@ -63,16 +63,6 @@ def test_block_order_pipeline():
     verify_result(pres, result)
 
 
-def test_radical_strategy_flags(tmp_path, capsys):
-    path = tmp_path / "cusp.txt"
-    path.write_text("ring QQ[x,y]; ideal (y^2 - x^3);\n")
-    for strategy in ("auto", "zerodim", "general"):
-        code = run_cli(["normalize", str(path), "--json", "--radical", strategy])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert json.loads(out)["options"]["radical"] == strategy
-
-
 def test_input_variable_named_like_an_adjoined_one(tmp_path, capsys):
     # the cusp in T1_1 and y: the level-1 variable may not reuse the name
     path = tmp_path / "named.txt"

@@ -27,7 +27,6 @@ from closurekit import (
     saturation,
 )
 from closurekit.errors import (
-    StrategyFailed,
     UnsupportedCharacteristic,
     ZeroPolynomial,
 )
@@ -337,29 +336,15 @@ def test_radical_of_zero_and_unit(ring_xy):
     assert radical(Ideal(ring_xy, [ring_xy.one])).contains_one()
 
 
-@pytest.mark.parametrize("gens", ["", "1", "x^2"], ids=["zero", "unit", "proper"])
-def test_radical_rejects_unknown_strategy_first(ring_xy, gens):
-    I = Ideal(ring_xy, [P(ring_xy, g) for g in gens.split()])
-    with pytest.raises(ValueError, match="^unknown radical strategy 'bogus'$"):
-        radical(I, strategy="bogus")
-
-
-def test_radical_zerodim_strategy_rejects_positive_dimension(ring_xy):
-    I = Ideal(ring_xy, [P(ring_xy, "x^2")])
-    with pytest.raises(StrategyFailed,
-                       match=r"^ideal is not zero-dimensional \(dimension 1\)$"):
-        radical(I, strategy="zerodim")
-
-
-def test_radical_dimension_check_only_for_zerodim(ring_xy, monkeypatch):
+def test_radical_makes_no_dimension_call(ring_xy, monkeypatch):
+    # one path: dimension zero is found inside _radical_general, not asked up front
     calls = []
     real = idealops.dimension
     monkeypatch.setattr(idealops, "dimension", lambda I: calls.append(I) or real(I))
-    I = Ideal(ring_xy, [P(ring_xy, "x^2"), P(ring_xy, "y^3")])
-    assert ideals_equal(radical(I), radical(I, strategy="general"))
+    for gens in (["x^2", "y^3"], ["x^2"]):
+        I = Ideal(ring_xy, [P(ring_xy, g) for g in gens])
+        radical(I)
     assert calls == []
-    radical(I, strategy="zerodim")
-    assert calls == [I]
 
 
 def test_radical_zerodim_helper_refuses_positive_dimension(ring_xy):

@@ -254,6 +254,14 @@ def test_normalize_iteration_limit(ring_xy):
     assert info.value.trace  # partial trace attached
 
 
+def test_normalize_accepts_only_the_auto_radical(ring_xy):
+    # the keyword outlives the retired strategies only for callers passing "auto"
+    assert normalize(cusp(ring_xy), radical_strategy="auto").trace == \
+        normalize(cusp(ring_xy)).trace
+    with pytest.raises(ValueError, match="^radical_strategy must be 'auto', got 'general'$"):
+        normalize(cusp(ring_xy), radical_strategy="general")
+
+
 def test_verify_result_passes(ring_xy):
     pres = cusp(ring_xy)
     assert verify_result(pres, normalize(pres)) is None

@@ -19,7 +19,7 @@ from closurekit import (DEGREVLEX, build_result_document, emit_json, normalize,
                         parse_input, presentation, verify_result)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-OPTIONS = {"order": "degrevlex", "radical": "auto", "max_iter": 32}
+OPTIONS = {"order": "degrevlex", "max_iter": 32}
 SEEDS = (1, 2)
 
 
@@ -29,8 +29,7 @@ def digest(workloads, workload, seed):
     for _ in range(workloads.batch_size(workload)):
         doc = parse_input(next(stream).text, DEGREVLEX)
         start = presentation(doc.ring, doc.generators)
-        result = normalize(start, max_iterations=OPTIONS["max_iter"],
-                           radical_strategy=OPTIONS["radical"])
+        result = normalize(start, max_iterations=OPTIONS["max_iter"])
         verify_result(start, result)
         line = emit_json(build_result_document(result, OPTIONS, True))
         h.update(line.encode() + b"\n")
